@@ -7,9 +7,15 @@ Usage::
 Every reader connection sends one request, waits for its whole reply, then
 sends the next (the line protocol answers one line at a time per
 connection).  Every ``fanout_every``-th request is a ``many s t1..t100``
-line; the others are pairs ``s t`` drawn Zipf-skewed from the hot set.  The
-optional writer connection sends a mutation stream on a fixed schedule and,
-after each ``publish`` acknowledgement, asks the check pairs of that publish.
+line.  The others are pairs ``s t``: with probability ``hot_share`` one drawn
+uniformly from the hot set, otherwise the next cold pair, which no request
+of the run has asked before.  The optional writer connection sends a
+mutation stream on a fixed schedule and, after each ``publish``
+acknowledgement, asks the check pairs of that publish.
+
+The server's ``/metrics`` text is fetched when the measured window opens and
+when it closes, so the caller can compute the window's own cache hit share
+and stage split from the counter differences.
 
 Replies are only recorded during the run; the caller checks them against BFS
 ground truth afterwards, so checking costs the load generator nothing while
@@ -19,22 +25,29 @@ it measures.
 from __future__ import annotations
 
 import asyncio
-import bisect
 import json
 import os
 import random
 import sys
 import time
+import urllib.request
 
 _clock = time.perf_counter
 
 
 async def _reader(plan: dict, index: int, deadline: float, records: list) -> None:
+    """Closed loop on one connection.  A record is ``(kind, item, sent,
+    received, reply lines)``: kind 0 is hot pair ``item``, kind 2 cold pair
+    number ``item`` and kind 1 fan-out ``item``."""
     reader, writer = await asyncio.open_connection(plan["host"], plan["port"])
     rng = random.Random(plan["seed"] * 7919 + index)
-    cumulative = plan["hot_cumulative"]
-    top = cumulative[-1]
-    pairs = [f"{s} {t}\n".encode() for s, t in plan["hot"]]
+    hot = [f"{s} {t}\n".encode() for s, t in plan["hot"]]
+    hot_share = plan["hot_share"]
+    sources, cold_targets = plan["sources"], plan["cold_targets"]
+    # Reader ``index`` of ``readers`` takes cold pairs index, index + readers,
+    # ...; pair k is (sources[k mod S], cold_targets[k div S]), so no two
+    # requests of the run share a cold pair.
+    cold = index
     fanouts = [
         ("many %d %s\n" % (s, " ".join(map(str, targets)))).encode()
         for s, targets in plan["fanouts"]
@@ -47,9 +60,15 @@ async def _reader(plan: dict, index: int, deadline: float, records: list) -> Non
             if sent_count % fanout_every == 0:
                 kind, item = 1, rng.randrange(len(fanouts))
                 line, expected = fanouts[item], len(plan["fanouts"][item][1])
+            elif rng.random() < hot_share:
+                kind, item = 0, rng.randrange(len(hot))
+                line, expected = hot[item], 1
             else:
-                kind, item = 0, bisect.bisect_right(cumulative, rng.random() * top)
-                line, expected = pairs[item], 1
+                kind, item = 2, cold
+                cold += plan["readers"]
+                source = sources[item % len(sources)]
+                target = cold_targets[item // len(sources) % len(cold_targets)]
+                line, expected = f"{source} {target}\n".encode(), 1
             sent = _clock()
             writer.write(line)
             reply = [await reader.readline()]
@@ -89,13 +108,29 @@ async def _writer(plan: dict, deadline: float, mutations: list, checks: list) ->
         await writer.wait_closed()
 
 
+def _fetch(url: str) -> str:
+    with urllib.request.urlopen(url, timeout=30) as response:
+        return response.read().decode("utf-8")
+
+
+async def _scrape_window(plan: dict, opens: float, closes: float, scrapes: list) -> None:
+    """Fetch ``/metrics`` at ``opens`` and at ``closes`` (off the event loop)."""
+    loop = asyncio.get_running_loop()
+    url = f"http://{plan['host']}:{plan['http_port']}/metrics"
+    for at in (opens, closes):
+        await asyncio.sleep(max(0.0, at - _clock()))
+        scrapes.append(await loop.run_in_executor(None, _fetch, url))
+
+
 async def _run(plan: dict) -> dict:
     start = _clock()
-    deadline = start + plan["seconds"]
+    deadline = start + plan["warmup"] + plan["seconds"]
     readers = [[] for _ in range(plan["readers"])]
     mutations: list = []
     checks: list = []
+    scrapes: list = []
     tasks = [_reader(plan, i, deadline, records) for i, records in enumerate(readers)]
+    tasks.append(_scrape_window(plan, start + plan["warmup"], deadline, scrapes))
     if plan.get("writes"):
         tasks.append(_writer(plan, deadline, mutations, checks))
     cpu_before = os.times()
@@ -109,6 +144,7 @@ async def _run(plan: dict) -> dict:
         "readers": readers,
         "mutations": mutations,
         "checks": checks,
+        "scrapes": scrapes,
     }
 
 

@@ -23,12 +23,14 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from tracer import Recorder, install  # noqa: E402
 
 
-def peak_rss_mib() -> float:
-    with open("/proc/self/status", "r", encoding="utf-8") as handle:
+def peak_rss_mib(pid="self") -> float:
+    """VmHWM of process ``pid`` (this one by default), in MiB."""
+    path = f"/proc/{pid}/status"
+    with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1024.0
-    raise RuntimeError("no VmHWM in /proc/self/status")
+    raise RuntimeError(f"no VmHWM in {path}")
 
 
 def main() -> int:

@@ -15,8 +15,10 @@ defines every metric and the layer predictions):
     ``distances_from`` calls in this process.  Never touches ``serving``.
 ``serve-read``
     The same graph family served by ``repro-pll serve <index> --async`` with
-    the default cache; one client process keeps ``nproc`` connections busy
-    with Zipf-skewed pairs from a hot set plus 1 in 20 ``many`` lines.
+    the default cache, warmed with a hot set of pairs; one client process
+    keeps ``nproc`` connections busy.  Half its pairs come from the hot set,
+    half are pairs no request has asked before, and 1 in 20 lines is a
+    ``many`` fan-out.
 ``serve-write``
     A smaller graph served writable (``--edge-list``); one connection sends
     the same reads, the other a ``remove``/``add`` stream that restores the
@@ -52,6 +54,7 @@ sys.path.insert(0, HERE)
 
 import graphs  # noqa: E402
 import tracer  # noqa: E402
+from launch import peak_rss_mib  # noqa: E402
 
 ROOT = os.getcwd()
 SRC = os.path.join(ROOT, "src")
@@ -68,12 +71,31 @@ BIT_PARALLEL = "16"
 SETUPS = {"library": 3, "serve-read": 3, "serve-write": 5}
 #: Request pool: sources with BFS ground truth, the hot pair set and fan-outs.
 POOL_SOURCES = 256
-HOT_PAIRS = 4096
-ZIPF_EXPONENT = 1.0
+#: The served pair mix is the skewed mix of ``benchmarks/bench_serving.py``:
+#: half the pairs uniform over a hot set of 512, half never asked before.
+#: The server's ``--warm`` replay puts the hot set in its cache before it
+#: listens, and the default cache (65536 pairs) holds the hot set and every
+#: cold pair of a run, so nothing is evicted: on serve-read hot pairs hit and
+#: cold pairs miss from the first request on, and the window's hit share is
+#: ``HOT_SHARE`` whatever the run length or throughput.
+HOT_PAIRS = 512
+HOT_SHARE = 0.5
 FANOUT_TARGETS = 100
 FANOUT_POOL = 256
 FANOUT_EVERY = 20
+SCALAR_PAIRS = 4096
 BATCH_PAIRS = 4096
+#: The split of serve-read's window that the layer predictions rest on: the
+#: cache hit share, and the kernel's and the coalescing window's shares of
+#: the server's mean request latency (a probe of the stage histograms on a
+#: 2-vCPU machine put them at ~10 % and ~81 %).  Printed beside the measured
+#: split; a figure more than ``SPLIT_TOLERANCE`` off is flagged, not failed.
+PREDICTED_SPLIT = {
+    "window_hit_share": HOT_SHARE,
+    "kernel_latency_share": 0.10,
+    "coalesce_latency_share": 0.81,
+}
+SPLIT_TOLERANCE = 0.05
 #: The library workload cycles its three query phases in rounds this long.
 ROUND_S = 0.6
 #: Seconds of load before the measured window opens (cache and loop warm-up).
@@ -96,6 +118,9 @@ PRINTED = {
     "insert_p50_ms": "ms",
     "remove_p50_ms": "ms",
     "publish_p50_ms": "ms",
+    "window_hit_share": "ratio",
+    "kernel_latency_share": "ratio",
+    "coalesce_latency_share": "ratio",
 }
 
 _clock = time.perf_counter
@@ -123,8 +148,15 @@ class Inputs:
         self.row = {int(s): i for i, s in enumerate(self.sources)}
         self.truth = np.stack([self.csr.bfs(int(s)) for s in self.sources]).astype(np.float64)
         self.truth[self.truth < 0] = math.inf
-        picks = rng.integers(POOL_SOURCES, size=HOT_PAIRS)
-        self.hot = np.stack([self.sources[picks], rng.integers(vertices, size=HOT_PAIRS)], axis=1)
+        # Hot and cold pairs take their targets from disjoint halves of one
+        # permutation, so no cold pair is a hot one.
+        targets = rng.permutation(vertices)
+        self.cold_targets = targets[: vertices // 2]
+        hot_targets = targets[vertices // 2:]
+        self.hot = np.stack([
+            self.sources[rng.integers(POOL_SOURCES, size=HOT_PAIRS)],
+            hot_targets[rng.integers(len(hot_targets), size=HOT_PAIRS)],
+        ], axis=1)
         self.fanouts = [
             (int(self.sources[rng.integers(POOL_SOURCES)]),
              rng.integers(vertices, size=FANOUT_TARGETS).tolist())
@@ -133,6 +165,16 @@ class Inputs:
 
     def expected(self, source: int, targets) -> np.ndarray:
         return self.truth[self.row[source], targets]
+
+    def cold_pair(self, k: int):
+        """Cold pair number ``k`` as the load generator forms it."""
+        return (int(self.sources[k % POOL_SOURCES]),
+                int(self.cold_targets[k // POOL_SOURCES % len(self.cold_targets)]))
+
+    def write_hot(self, path: str) -> None:
+        """The hot set as a ``--warm`` query log, one ``s t`` per line."""
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(f"{s} {t}\n" for s, t in self.hot.tolist())
 
 
 def generate_edges(seed: int, vertices: int):
@@ -307,20 +349,7 @@ class Server:
     def scrape(self) -> dict:
         url = f"http://{self.host}:{self.http_port}/metrics"
         with urllib.request.urlopen(url, timeout=30) as response:
-            text = response.read().decode("utf-8")
-        values = {}
-        for line in text.splitlines():
-            if line and not line.startswith("#"):
-                name, _, value = line.rpartition(" ")
-                values[name] = float(value)
-        return values
-
-    def peak_rss_mb(self) -> float:
-        with open(f"/proc/{self.proc.pid}/status", "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0
-        raise BenchError("no VmHWM in /proc status")
+            return parse_exposition(response.read().decode("utf-8"))
 
     def cpu_seconds(self) -> float:
         with open(f"/proc/{self.proc.pid}/stat", "r", encoding="utf-8") as handle:
@@ -333,6 +362,40 @@ class Server:
             raise BenchError(f"server exited {self.proc.returncode}: {tail(self.log_path)}")
 
 
+def parse_exposition(text: str) -> dict:
+    """``/metrics`` text as ``{series: value}``."""
+    values = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            name, _, value = line.rpartition(" ")
+            values[name] = float(value)
+    return values
+
+
+def window_split(scrapes) -> dict:
+    """The measured window's cache hit share, and the kernel's and the
+    coalescing window's shares of the server's mean request latency, from
+    the ``/metrics`` counters fetched when the window opened and closed."""
+    before, after = (parse_exposition(text) for text in scrapes)
+
+    def delta(name: str) -> float:
+        return after.get(name, 0.0) - before.get(name, 0.0)
+
+    def mean(name: str) -> float:
+        count = delta(name + "_count")
+        return delta(name + "_sum") / count if count else 0.0
+
+    lookups = delta("repro_pll_cache_hits") + delta("repro_pll_cache_misses")
+    latency = mean("repro_pll_latency_seconds")
+    if not lookups or not latency:
+        raise BenchError("the server counted no cache lookups or requests in the window")
+    return {
+        "window_hit_share": delta("repro_pll_cache_hits") / lookups,
+        "kernel_latency_share": mean("repro_pll_stage_kernel_seconds") / latency,
+        "coalesce_latency_share": mean("repro_pll_stage_batch_seconds") / latency,
+    }
+
+
 def first_answer(server: Server, inputs: Inputs) -> bool:
     s, t = (int(v) for v in inputs.hot[0])
     reply = server.ask(f"{s} {t}")
@@ -340,15 +403,18 @@ def first_answer(server: Server, inputs: Inputs) -> bool:
 
 
 def run_client(procs, work, server, inputs, readers, seconds, writes=None, checks=None):
-    weights = 1.0 / np.arange(1, HOT_PAIRS + 1, dtype=np.float64) ** ZIPF_EXPONENT
     plan = {
         "host": server.host,
         "port": server.port,
-        "seconds": WARMUP_S + seconds,
+        "http_port": server.http_port,
+        "warmup": WARMUP_S,
+        "seconds": seconds,
         "seed": inputs.seed,
         "readers": readers,
         "hot": inputs.hot.tolist(),
-        "hot_cumulative": np.cumsum(weights).tolist(),
+        "hot_share": HOT_SHARE,
+        "sources": inputs.sources.tolist(),
+        "cold_targets": inputs.cold_targets.tolist(),
         "fanouts": inputs.fanouts,
         "fanout_every": FANOUT_EVERY,
         "write_interval": WRITE_INTERVAL_S,
@@ -409,6 +475,9 @@ def check_reads(tally: Tally, inputs: Inputs, records, truth: MutatedTruth, cand
             continue
         if kind == 0:
             source, targets = int(inputs.hot[item][0]), [int(inputs.hot[item][1])]
+        elif kind == 2:
+            source, target = inputs.cold_pair(item)
+            targets = [target]
         else:
             source, targets = inputs.fanouts[item]
         try:
@@ -423,17 +492,6 @@ def check_reads(tally: Tally, inputs: Inputs, records, truth: MutatedTruth, cand
 
 def percentile(values, q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))
-
-
-def flatten(groups):
-    return [value for group in groups for value in group]
-
-
-def best(groups, stat, higher: bool = False) -> float:
-    """``stat`` of the fastest group: the least, or with ``higher`` the
-    greatest, of ``stat`` over the groups."""
-    values = [stat(group) for group in groups if len(group) > 1]
-    return max(values) if higher else min(values)
 
 
 def window(records, start: float, seconds: float):
@@ -458,27 +516,45 @@ def import_serialization():
 
 def library_slice(seconds: float, call, items, position: int, check):
     """Call ``call(item)`` over ``items`` (cycled from ``position``) for
-    ``seconds``; returns the per-call latencies and the next position."""
-    latencies = []
+    ``seconds``; returns ``(item number, latency)`` per call and the next
+    position."""
+    timed = []
     deadline = _clock() + seconds
     while _clock() < deadline:
-        item = items[position % len(items)]
+        number = position % len(items)
+        item = items[number]
         position += 1
         started = time.perf_counter_ns()
         result = call(item)
-        latencies.append((time.perf_counter_ns() - started) / 1e9)
+        timed.append((number, (time.perf_counter_ns() - started) / 1e9))
         check(item, result)
-    return latencies, position
+    return timed, position
+
+
+def seconds_of(timed):
+    return [seconds for _, seconds in timed]
+
+
+def item_medians(timed):
+    """Each item's median latency: the cost of each query in the pool, with
+    a slow moment of the machine outvoted by the item's other calls."""
+    by_item = {}
+    for number, seconds in timed:
+        by_item.setdefault(number, []).append(seconds)
+    return [statistics.median(values) for values in by_item.values()]
 
 
 def library_queries(index, inputs: Inputs, tally: Tally, seconds: float, phases=("pair", "batch", "fanout")):
-    """Run the phases round-robin in short slices for ``seconds``.
+    """Run the phases round-robin in short slices for ``seconds``, so a slow
+    moment of the machine falls on every phase alike.
 
-    Returns per phase a list of rounds, each the latencies of one slice; the
-    first round is an unrecorded warm-up.
+    Returns per phase ``(item number, latency)`` for every call after the
+    first round, which is an unrecorded warm-up.
     """
     rng = np.random.default_rng(inputs.seed + 2)
-    pairs = [(int(s), int(t)) for s, t in inputs.hot[rng.permutation(HOT_PAIRS)]]
+    picks = rng.integers(POOL_SOURCES, size=SCALAR_PAIRS)
+    pairs = list(zip(inputs.sources[picks].tolist(),
+                     rng.integers(inputs.n, size=SCALAR_PAIRS).tolist()))
     batches = []
     for _ in range(8):
         picks = rng.integers(POOL_SOURCES, size=BATCH_PAIRS)
@@ -505,7 +581,7 @@ def library_queries(index, inputs: Inputs, tally: Tally, seconds: float, phases=
         "batch": (lambda b: index.distance_batch(b[1], b[2]), batches, check_batch),
         "fanout": (lambda f: index.distances_from(f[0], f[1]), inputs.fanouts, check_fanout),
     }
-    rounds = {phase: [] for phase in phases}
+    samples = {phase: [] for phase in phases}
     positions = dict.fromkeys(phases, 0)
     slice_s = ROUND_S / len(phases)
     deadline = _clock() + slice_s * len(phases) + seconds
@@ -513,11 +589,11 @@ def library_queries(index, inputs: Inputs, tally: Tally, seconds: float, phases=
     while warm or _clock() < deadline:
         for phase in phases:
             call, items, check = work[phase]
-            latencies, positions[phase] = library_slice(slice_s, call, items, positions[phase], check)
+            timed, positions[phase] = library_slice(slice_s, call, items, positions[phase], check)
             if not warm:
-                rounds[phase].append(latencies)
+                samples[phase].extend(timed)
         warm = False
-    return rounds
+    return samples
 
 
 def library(args, work, procs, tally):
@@ -540,24 +616,26 @@ def library(args, work, procs, tally):
         tally.attempted += 1
         if answer != inputs.expected(s, [t])[0]:
             tally.record_wrong(f"first answer distance({s}, {t}) = {answer}")
-    rounds = library_queries(index, inputs, tally, args.seconds)
-    pair, batch, fanout = rounds["pair"], rounds["batch"], rounds["fanout"]
+    samples = library_queries(index, inputs, tally, args.seconds)
+    pair, batch = seconds_of(samples["pair"]), seconds_of(samples["batch"])
+    # A fan-out's cost depends on its source's labels, so the fan-out figures
+    # are percentiles over the pool of each fan-out's median latency.
+    fanout = item_medians(samples["fanout"])
     metrics = {
         "setup_s": statistics.median(setups),
         "index_bytes": float(builds[-1][1]),
         "peak_rss_mb": statistics.median(b[2] for b in builds),
-        "pair_qps": best(pair, lambda g: 1 / statistics.fmean(g), higher=True),
-        "pair_p50_ms": best(pair, lambda g: percentile(g, 50) * 1e3),
-        "pair_p99_ms": best(pair, lambda g: percentile(g, 99) * 1e3),
-        "fanout_p90_ms": best(fanout, lambda g: percentile(g, 90) * 1e3),
-        "batch_pairs_per_s": best(batch, lambda g: BATCH_PAIRS * len(g) / sum(g), higher=True),
+        "pair_qps": 1 / statistics.fmean(pair),
+        "pair_p50_ms": percentile(pair, 50) * 1e3,
+        "pair_p99_ms": percentile(pair, 99) * 1e3,
+        "fanout_p90_ms": percentile(fanout, 90) * 1e3,
+        "batch_pairs_per_s": BATCH_PAIRS * len(batch) / sum(batch),
     }
     extra = {
         "build_s": min(b[0] for b in builds),
-        "fanout_p50_ms": best(fanout, lambda g: percentile(g, 50) * 1e3),
-        "query_us": 1e6 * statistics.fmean(flatten(pair)),
-        "samples": f"pair={len(flatten(pair))} batch={len(flatten(batch))} "
-                   f"fanout={len(flatten(fanout))} rounds={len(pair)}",
+        "fanout_p50_ms": percentile(fanout, 50) * 1e3,
+        "query_us": 1e6 * statistics.fmean(pair),
+        "samples": f"pair={len(pair)} batch={len(batch)} fanout={len(samples['fanout'])}",
         "kernel": index.prepare_batch_kernel().backend_name,
         "connections": 0,
     }
@@ -570,14 +648,14 @@ def library_traced(args, work, procs, tally, inputs, serialization, edge_path, i
     run_build(procs, work, edge_path, index_path, spans=build_spans)
     share = args.seconds / 4
     index = serialization.load_index(index_path, mmap=True)
-    untraced = flatten(library_queries(index, inputs, tally, share, phases=("pair",))["pair"])
+    untraced = seconds_of(library_queries(index, inputs, tally, share, phases=("pair",))["pair"])
     recorder = tracer.Recorder()
     tracer.install(recorder)
     try:
         # Looked up through the module, so the call goes through the wrapper.
         index = serialization.load_index(index_path, mmap=True)
         index.prepare_batch_kernel()
-        pair = flatten(library_queries(index, inputs, tally, share, phases=("pair",))["pair"])
+        pair = seconds_of(library_queries(index, inputs, tally, share, phases=("pair",))["pair"])
         library_queries(index, inputs, tally, 2 * share, phases=("batch", "fanout"))
     finally:
         tracer.uninstall(recorder)
@@ -601,16 +679,23 @@ def library_traced(args, work, procs, tally, inputs, serialization, edge_path, i
 # --------------------------------------------------------------------------- #
 
 
-def serve_args(workload: str, edge_path: str, index_path: str):
+def serve_args(workload: str, work: str, edge_path: str, index_path: str):
+    warm = ["--warm", os.path.join(work, "hot.txt")]
     if workload == "serve-read":
-        return [index_path]
-    return ["--edge-list", edge_path]
+        return [index_path] + warm
+    return ["--edge-list", edge_path] + warm
+
+
+def write_inputs(work: str, inputs: Inputs, edge_path: str) -> None:
+    """The files the server is given: the edge list and the hot set."""
+    graphs.write_edge_list(edge_path, generate_edges(inputs.seed, inputs.n))
+    inputs.write_hot(os.path.join(work, "hot.txt"))
 
 
 def serve_setup(args, work, procs, tally, inputs, edge_path, index_path, tag: str):
     """Generate, build (serve-read), start the server, get the first answer."""
     start = _clock()
-    graphs.write_edge_list(edge_path, generate_edges(args.seed, inputs.n))
+    write_inputs(work, inputs, edge_path)
     build = None
     if args.workload == "serve-read":
         build = run_build(procs, work, edge_path, index_path)
@@ -619,7 +704,8 @@ def serve_setup(args, work, procs, tally, inputs, edge_path, index_path, tag: st
 
 
 def start_server(args, work, procs, tally, inputs, edge_path, index_path, tag, spans=None):
-    server = Server(procs, work, serve_args(args.workload, edge_path, index_path), tag, spans=spans)
+    server = Server(procs, work, serve_args(args.workload, work, edge_path, index_path), tag,
+                    spans=spans)
     tally.attempted += 1
     if not first_answer(server, inputs):
         tally.record_wrong(f"first answer from server {tag}")
@@ -662,7 +748,7 @@ def serve_load(args, work, procs, tally, inputs, server, seconds):
                 tally.record_wrong(f"after publish at {pos}: ({s}, {t}) = {got}")
     check_reads(tally, inputs, records, truth, candidates_of)
     measured = window(records, result["start"], seconds)
-    pairs = [r for r in measured if r[0] == 0]
+    pairs = [r for r in measured if r[0] != 1]
     fanouts = [r for r in measured if r[0] == 1]
     if not pairs or not fanouts:
         raise BenchError("no pair or fan-out request completed in the measured window")
@@ -683,6 +769,7 @@ def serve_load(args, work, procs, tally, inputs, server, seconds):
         "server_cpu_share": result["server_cpu_share"],
         "connections": readers + (1 if writer else 0),
         "samples": f"pair={len(pairs)} fanout={len(fanouts)} mutations={len(mutations)}",
+        **window_split(result["scrapes"]),
     }
     for op in ("add", "remove", "publish"):
         times = [acked - due for pos, due, _, acked, _ in mutations
@@ -700,12 +787,10 @@ def serve(args, work, procs, tally):
         return serve_traced(args, work, procs, tally, inputs, edge_path, index_path)
     setups, builds = [], []
     if args.workload == "serve-write":
-        # The writable server builds its own index in memory; index_bytes
-        # (and the printed build_s) come from a saved-index build of the same
-        # graph, as on the other workloads.
+        # The writable server builds its index in memory and saves none, so
+        # index_bytes comes from one saved-index build of the same graph.
         graphs.write_edge_list(edge_path, inputs.edges)
-        builds = [run_build(procs, work, edge_path, index_path)
-                  for _ in range(SETUPS[args.workload])]
+        builds = [run_build(procs, work, edge_path, index_path)]
     server = None
     for attempt in range(SETUPS[args.workload]):
         if server is not None:
@@ -718,7 +803,7 @@ def serve(args, work, procs, tally):
             builds.append(build)
     stats = serve_load(args, work, procs, tally, inputs, server, args.seconds)
     scrape = server.scrape()
-    peak = server.peak_rss_mb()
+    peak = peak_rss_mib(server.proc.pid)
     server.stop()
     metrics = {
         "setup_s": statistics.median(setups),
@@ -727,9 +812,9 @@ def serve(args, work, procs, tally):
     }
     for name in ("pair_qps", "pair_p50_ms", "pair_p99_ms", "fanout_p90_ms", "batch_pairs_per_s"):
         metrics[name] = stats.pop(name)
-    stats["build_s"] = min(b[0] for b in builds)
+    if args.workload == "serve-read":
+        stats["build_s"] = min(b[0] for b in builds)
     stats["kernel"] = kernel_name(scrape)
-    stats["cache_hit_ratio"] = round(scrape.get("repro_pll_cache_hit_rate", 0.0), 4)
     stats["server_rss_mb"] = round(scrape.get("repro_pll_process_rss_bytes", 0.0) / 2**20, 1)
     stats["load_generator_bottleneck"] = stats["client_cpu_share"] >= CLIENT_BOTTLENECK_SHARE
     return metrics, stats
@@ -744,7 +829,7 @@ def kernel_name(scrape: dict) -> str:
 
 def serve_traced(args, work, procs, tally, inputs, edge_path, index_path):
     half = args.seconds / 2
-    graphs.write_edge_list(edge_path, inputs.edges)
+    write_inputs(work, inputs, edge_path)
     build_spans = os.path.join(work, "spans-build.json")
     if args.workload == "serve-read":
         run_build(procs, work, edge_path, index_path, spans=build_spans)
@@ -771,6 +856,11 @@ def serve_traced(args, work, procs, tally, inputs, edge_path, index_path):
         )
     layers.update(attribution(dumps[0], scrape))
     layers.update({
+        # The window's split, from the untraced half like every figure the
+        # tracer's own cost would move.
+        "serving.cache.hit_ratio": untraced["window_hit_share"],
+        "kernel_latency_share": untraced["kernel_latency_share"],
+        "coalesce_latency_share": untraced["coalesce_latency_share"],
         "untraced_pair_qps": untraced["pair_qps"],
         "traced_pair_qps": traced["pair_qps"],
         "trace_overhead": traced["pair_qps"] / untraced["pair_qps"],
@@ -862,6 +952,8 @@ def layer_metrics(dumps, scrape) -> dict:
         "core.dynamic.freeze_s": mean("core.dynamic.freeze"),
         "core.dynamic.dirty_vertices": ratio(counts.get("core.dynamic.dirty_vertices", 0),
                                              calls.get("core.dynamic.freeze", 0)),
+        "kernel_latency_share": 0.0,
+        "coalesce_latency_share": 0.0,
         "env.nproc": float(os.cpu_count() or 1),
         "client.connections": 0.0,
         "client.cpu_share": 0.0,
@@ -946,6 +1038,11 @@ def main() -> int:
         print(f"metric error_ratio {tally.failed / max(tally.attempted, 1):.6g} ratio "
               f"({tally.errors} errors or refusals, {tally.wrong} wrong, "
               f"{tally.attempted} attempted)")
+    if args.workload == "serve-read" and "window_hit_share" in extra:
+        for name, predicted in PREDICTED_SPLIT.items():
+            off = abs(extra[name] - predicted) > SPLIT_TOLERANCE
+            print(f"split {name} measured {extra[name]:.3f} predicted {predicted:.2f}"
+                  + (" (off the prediction)" if off else ""))
     for example in tally.examples:
         print(f"wrong: {example}")
     output = {}

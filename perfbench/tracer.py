@@ -49,6 +49,8 @@ class Recorder:
         self.requests: List[tuple] = []
         #: Per cache-fronted engine dispatch: ``(start_ns, end_ns, pairs)``.
         self.batches: List[Tuple[int, int, int]] = []
+        #: While set, wrapped calls run unrecorded (see :func:`_unrecorded`).
+        self.paused = False
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -70,6 +72,8 @@ class Recorder:
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            if self.paused:
+                return fn(*args, **kwargs)
             stack = stack_of()
             parent, batch = stack[-1] if stack else (0, 0)
             span_id = next(ids)
@@ -232,6 +236,21 @@ def _admission_counter(recorder: Recorder, fn: Callable) -> Callable:
     return wrapper
 
 
+def _unrecorded(recorder: Recorder, fn: Callable) -> Callable:
+    """``fn`` with recording paused for its duration.  Used for the ``--warm``
+    cache replay, which runs before the server listens and is not traffic."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        recorder.paused = True
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            recorder.paused = False
+
+    return wrapper
+
+
 #: ``(span key, module, attribute path, hook)``: the public entry points of
 #: each layer.  ``Class.method`` paths patch the class.
 TARGETS = [
@@ -313,6 +332,9 @@ def install(recorder: Recorder) -> None:
         ):
             if method in vars(backend):
                 recorder.patch(backend, method, recorder.wrap(key, vars(backend)[method], hook))
+    from repro.serving import server
+
+    _rebind_everywhere(recorder, server.warm_cache, _unrecorded(recorder, server.warm_cache))
     method = AsyncQueryFrontend.query_one_to_many
     if inspect.iscoroutinefunction(method):
         recorder.patch(AsyncQueryFrontend, "query_one_to_many", _admission_counter(recorder, method))
