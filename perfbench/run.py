@@ -535,13 +535,18 @@ def seconds_of(timed):
     return [seconds for _, seconds in timed]
 
 
-def item_medians(timed):
-    """Each item's median latency: the cost of each query in the pool, with
-    a slow moment of the machine outvoted by the item's other calls."""
+def item_fastest(timed):
+    """Each item's fastest call: the cost of each query in the pool.
+
+    A query is a fixed computation, and a busy machine only ever adds to its
+    time, so its fastest call is its cost.  Each item runs tens of times
+    spread over the whole window, so a slow spell has to cover all of them
+    to move the figure.
+    """
     by_item = {}
     for number, seconds in timed:
-        by_item.setdefault(number, []).append(seconds)
-    return [statistics.median(values) for values in by_item.values()]
+        by_item[number] = min(seconds, by_item.get(number, math.inf))
+    return list(by_item.values())
 
 
 def library_queries(index, inputs: Inputs, tally: Tally, seconds: float, phases=("pair", "batch", "fanout")):
@@ -604,7 +609,10 @@ def library(args, work, procs, tally):
     if args.trace:
         return library_traced(args, work, procs, tally, inputs, serialization, edge_path, index_path)
     setups, builds = [], []
-    for _ in range(SETUPS["library"]):
+    samples = {"pair": [], "batch": [], "fanout": []}
+    for number in range(SETUPS["library"]):
+        # A fresh file each time: the previous index is still mapped.
+        index_path = os.path.join(work, f"graph-{number}.pll")
         start = _clock()
         graphs.write_edge_list(edge_path, generate_edges(args.seed, inputs.n))
         builds.append(run_build(procs, work, edge_path, index_path))
@@ -616,11 +624,16 @@ def library(args, work, procs, tally):
         tally.attempted += 1
         if answer != inputs.expected(s, [t])[0]:
             tally.record_wrong(f"first answer distance({s}, {t}) = {answer}")
-    samples = library_queries(index, inputs, tally, args.seconds)
-    pair, batch = seconds_of(samples["pair"]), seconds_of(samples["batch"])
-    # A fan-out's cost depends on its source's labels, so the fan-out figures
-    # are percentiles over the pool of each fan-out's median latency.
-    fanout = item_medians(samples["fanout"])
+        # Each set-up is followed by its share of the query window, so the
+        # window spreads over the whole run and an item's cost is moved only
+        # by a slow spell covering all of it.
+        share = library_queries(index, inputs, tally, args.seconds / SETUPS["library"])
+        for phase, timed in share.items():
+            samples[phase].extend(timed)
+    # The gated figures are taken over the pools (4096 pairs, 8 batches, 256
+    # fan-outs) of each item's cost, its fastest call; query_us keeps every
+    # call's time, stalls included.
+    pair, batch, fanout = (item_fastest(samples[phase]) for phase in ("pair", "batch", "fanout"))
     metrics = {
         "setup_s": statistics.median(setups),
         "index_bytes": float(builds[-1][1]),
@@ -629,13 +642,14 @@ def library(args, work, procs, tally):
         "pair_p50_ms": percentile(pair, 50) * 1e3,
         "pair_p99_ms": percentile(pair, 99) * 1e3,
         "fanout_p90_ms": percentile(fanout, 90) * 1e3,
-        "batch_pairs_per_s": BATCH_PAIRS * len(batch) / sum(batch),
+        "batch_pairs_per_s": BATCH_PAIRS / statistics.fmean(batch),
     }
+    calls = {phase: len(timed) for phase, timed in samples.items()}
     extra = {
         "build_s": min(b[0] for b in builds),
         "fanout_p50_ms": percentile(fanout, 50) * 1e3,
-        "query_us": 1e6 * statistics.fmean(pair),
-        "samples": f"pair={len(pair)} batch={len(batch)} fanout={len(samples['fanout'])}",
+        "query_us": 1e6 * statistics.fmean(seconds_of(samples["pair"])),
+        "samples": " ".join(f"{phase}={n}" for phase, n in calls.items()),
         "kernel": index.prepare_batch_kernel().backend_name,
         "connections": 0,
     }
