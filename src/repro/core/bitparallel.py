@@ -105,29 +105,17 @@ class BitParallelLabels:
         """
         if self.num_roots == 0:
             return float("inf")
-        d_s = self.dist[:, s].astype(np.int64)
-        d_t = self.dist[:, t].astype(np.int64)
-        candidate = d_s + d_t
-        unreachable = (d_s == BP_INF) | (d_t == BP_INF)
-
-        minus_and_minus = (self.s_minus[:, s] & self.s_minus[:, t]) != 0
-        cross = (
-            (self.s_minus[:, s] & self.s_zero[:, t]) != 0
-        ) | ((self.s_zero[:, s] & self.s_minus[:, t]) != 0)
-
-        candidate = candidate - np.where(minus_and_minus, 2, np.where(cross, 1, 0))
-        candidate = np.where(unreachable, np.iinfo(np.int64).max, candidate)
-        best = int(candidate.min())
+        best = int(_min_bounds(self, s, t))
         return float("inf") if best >= BP_INF else float(best)
 
     def query_pairs(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Distance bounds for aligned ``sources[i], targets[i]`` pairs.
 
         The batched counterpart of :meth:`query`: the per-root O(1) test of
-        Section 5.3 is evaluated for every pair of the batch with a handful of
-        fancy-indexing operations (shape ``(num_roots, batch)``), so the cost
-        per pair is a few machine operations per root.  Returns ``inf`` where
-        no root reaches both endpoints.
+        Section 5.3 is evaluated for every pair of the batch at once (shape
+        ``(num_roots, batch)``), so the cost per pair is a few machine
+        operations per root.  Returns ``inf`` where no root reaches both
+        endpoints.
         """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -135,23 +123,7 @@ class BitParallelLabels:
             raise ValueError("sources and targets must have the same length")
         if self.num_roots == 0 or sources.shape[0] == 0:
             return np.full(sources.shape[0], np.inf, dtype=np.float64)
-
-        d_s = self.dist[:, sources].astype(np.int64)
-        d_t = self.dist[:, targets].astype(np.int64)
-        candidate = d_s + d_t
-        unreachable = (d_s == BP_INF) | (d_t == BP_INF)
-
-        minus_and_minus = (self.s_minus[:, sources] & self.s_minus[:, targets]) != 0
-        cross = (
-            (self.s_minus[:, sources] & self.s_zero[:, targets]) != 0
-        ) | ((self.s_zero[:, sources] & self.s_minus[:, targets]) != 0)
-
-        candidate = candidate - np.where(minus_and_minus, 2, np.where(cross, 1, 0))
-        candidate = np.where(unreachable, np.iinfo(np.int64).max // 4, candidate)
-        best = candidate.min(axis=0)
-        result = best.astype(np.float64)
-        result[best >= BP_INF] = np.inf
-        return result
+        return _as_distances(_min_bounds(self, sources, targets))
 
     def query_one_to_many(
         self, source: int, targets: Optional[np.ndarray] = None
@@ -166,12 +138,7 @@ class BitParallelLabels:
             target_array = np.arange(self.num_vertices, dtype=np.int64)
         else:
             target_array = np.asarray(targets, dtype=np.int64)
-        if self.num_roots == 0:
-            return np.full(target_array.shape[0], np.inf, dtype=np.float64)
-        bounds = query_upper_bounds_for_root(self, source, target_array)
-        result = bounds.astype(np.float64)
-        result[bounds >= BP_INF] = np.inf
-        return result
+        return _as_distances(query_upper_bounds_for_root(self, source, target_array))
 
     def empty(self) -> bool:
         """Whether there are no bit-parallel labels at all."""
@@ -388,30 +355,50 @@ def build_bit_parallel_labels(
     )
 
 
+def _min_bounds(bp: BitParallelLabels, s, t) -> np.ndarray:
+    """The Section 5.3 distance bound through every root, minimised over roots.
+
+    ``s`` and ``t`` select vertex columns of the ``(roots, n)`` arrays and
+    must broadcast against each other: two ints (one pair), two aligned
+    arrays (a batch), or a one-column slice against an array (one vertex
+    against many).  Each column is gathered once.  Through root ``r`` the
+    bound is
+
+        d_s + d_t - [S⁻¹(s) ∩ S⁻¹(t) ≠ ∅]
+                  - [S⁻¹(s) ∩ (S⁻¹(t) ∪ S⁰(t)) ≠ ∅  or  S⁰(s) ∩ S⁻¹(t) ≠ ∅]
+
+    i.e. two less when a member of ``S_r`` is one step closer to both
+    endpoints than ``r``, one less when it is closer to one and level with
+    ``r`` for the other.  A root that misses an endpoint contributes
+    :data:`BP_INF`.  Returns ``int32`` minima, ``>= BP_INF`` where no root
+    reaches both endpoints.
+    """
+    d_s, d_t = bp.dist[:, s], bp.dist[:, t]
+    m_s, m_t = bp.s_minus[:, s], bp.s_minus[:, t]
+    z_s, z_t = bp.s_zero[:, s], bp.s_zero[:, t]
+    bound = d_s.astype(np.int32) + d_t
+    bound -= (m_s & m_t) != 0
+    bound -= ((m_s & (m_t | z_t)) | (z_s & m_t)) != 0
+    bound[np.maximum(d_s, d_t) == BP_INF] = BP_INF
+    return bound.min(axis=0)
+
+
+def _as_distances(bounds: np.ndarray) -> np.ndarray:
+    """``float64`` distances from :func:`_min_bounds` minima (``inf`` if unreached)."""
+    result = bounds.astype(np.float64)
+    result[bounds >= BP_INF] = np.inf
+    return result
+
+
 def query_upper_bounds_for_root(
     bp: BitParallelLabels, root: int, vertices: np.ndarray
 ) -> np.ndarray:
     """Bit-parallel distance bounds between ``root`` and each of ``vertices``.
 
     Used for the prune test of the pruned-BFS phase: the whole frontier is
-    evaluated with a handful of vectorised operations.  Returns an ``int64``
+    evaluated with a handful of vectorised operations.  Returns an ``int32``
     array where unreachable combinations hold a value ``>= BP_INF``.
     """
     if bp.num_roots == 0 or vertices.size == 0:
-        return np.full(vertices.shape[0], np.iinfo(np.int64).max // 4, dtype=np.int64)
-
-    d_root = bp.dist[:, root].astype(np.int64)[:, None]          # (t, 1)
-    m_root = bp.s_minus[:, root][:, None]                        # (t, 1)
-    z_root = bp.s_zero[:, root][:, None]                         # (t, 1)
-
-    d_vs = bp.dist[:, vertices].astype(np.int64)                 # (t, k)
-    candidate = d_root + d_vs
-    unreachable = (d_root == BP_INF) | (d_vs == BP_INF)
-
-    minus_minus = (m_root & bp.s_minus[:, vertices]) != 0
-    cross = ((m_root & bp.s_zero[:, vertices]) != 0) | (
-        (z_root & bp.s_minus[:, vertices]) != 0
-    )
-    candidate = candidate - np.where(minus_minus, 2, np.where(cross, 1, 0))
-    candidate = np.where(unreachable, np.iinfo(np.int64).max // 4, candidate)
-    return candidate.min(axis=0)
+        return np.full(vertices.shape[0], BP_INF, dtype=np.int32)
+    return _min_bounds(bp, slice(root, root + 1), vertices)

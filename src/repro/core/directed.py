@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.labels import INF_DISTANCE, LabelAccumulator, LabelSet
+from repro.core.labels import INF_DISTANCE, LabelAccumulator, LabelSet, intersect_query
 from repro.errors import IndexBuildError, IndexStateError
 from repro.graph.csr import Graph
 from repro.graph.ordering import compute_order
@@ -195,17 +195,9 @@ class DirectedPrunedLandmarkLabeling:
         self._require_built()
         if s == t:
             return 0.0
-        s_hubs, s_dists = self._labels_out.vertex_label(s)
-        t_hubs, t_dists = self._labels_in.vertex_label(t)
-        if s_hubs.shape[0] == 0 or t_hubs.shape[0] == 0:
-            return float("inf")
-        _, s_idx, t_idx = np.intersect1d(
-            s_hubs, t_hubs, assume_unique=True, return_indices=True
+        return intersect_query(
+            *self._labels_out.vertex_label(s), *self._labels_in.vertex_label(t)
         )
-        if s_idx.shape[0] == 0:
-            return float("inf")
-        sums = s_dists[s_idx].astype(np.int64) + t_dists[t_idx].astype(np.int64)
-        return float(sums.min())
 
     def distances(self, pairs: Iterable[Tuple[int, int]]) -> np.ndarray:
         """Distances for a batch of ``(s, t)`` pairs."""

@@ -20,7 +20,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bitparallel import BitParallelLabels, build_bit_parallel_labels
-from repro.core.labels import LabelSet
+from repro.core.labels import LabelSet, merge_labels
 from repro.core.pruned import ConstructionStats, build_pruned_labels
 from repro.core.query import BatchQueryKernel
 from repro.errors import IndexStateError, VertexError
@@ -267,21 +267,19 @@ class PrunedLandmarkLabeling:
             ``float64`` exact distances (``inf`` for disconnected pairs).
         """
         self._require_built()
+        if targets is not None:
+            targets = np.asarray(list(targets), dtype=np.int64)
         # Routed through the pluggable kernel layer (numpy baseline, narrow
         # dtypes, or numba JIT — byte-identical); the kernel applies no
         # source-zeroing, which happens below after the bit-parallel fold.
         normal = self.prepare_batch_kernel().query_one_to_many(source, targets)
         if self._bit_parallel is not None and not self._bit_parallel.empty():
-            target_array = (
-                None if targets is None else np.asarray(list(targets), dtype=np.int64)
-            )
-            bp = self._bit_parallel.query_one_to_many(source, target_array)
+            bp = self._bit_parallel.query_one_to_many(source, targets)
             normal = np.minimum(normal, bp)
         if targets is None:
             normal[source] = 0.0
         else:
-            target_array = np.asarray(list(targets), dtype=np.int64)
-            normal[target_array == source] = 0.0
+            normal[targets == source] = 0.0
         return normal
 
     def top_k_closest(
@@ -318,19 +316,11 @@ class PrunedLandmarkLabeling:
         if s == t:
             return 0
         labels = self._labels
-        s_hubs, s_dists = labels.vertex_label(s)
-        t_hubs, t_dists = labels.vertex_label(t)
-        if s_hubs.shape[0] == 0 or t_hubs.shape[0] == 0:
+        hubs, sums = merge_labels(*labels.vertex_label(s), *labels.vertex_label(t))
+        if not sums.shape[0]:
             return None
-        common, s_idx, t_idx = np.intersect1d(
-            s_hubs, t_hubs, assume_unique=True, return_indices=True
-        )
-        if common.shape[0] == 0:
-            return None
-        sums = s_dists[s_idx].astype(np.int64) + t_dists[t_idx].astype(np.int64)
-        exact = sums.min()
-        achieving = common[sums == exact]
-        return int(achieving.min()) + 1
+        # Hubs come rank-ascending, so argmin is the lowest-rank exact hub.
+        return int(hubs[sums.argmin()]) + 1
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.storage import ArrayBackend
 from repro.errors import IndexBuildError
 
-__all__ = ["INF_DISTANCE", "LabelAccumulator", "LabelSet"]
+__all__ = ["INF_DISTANCE", "LabelAccumulator", "LabelSet", "intersect_query", "merge_labels"]
 
 #: Sentinel distance meaning "unreachable" in label and temporary arrays.
 INF_DISTANCE = np.iinfo(np.uint16).max
@@ -40,6 +40,43 @@ FIELD_INDPTR = "label_indptr"
 FIELD_HUBS = "label_hubs"
 FIELD_DISTS = "label_dists"
 FIELD_ORDER = "order"
+
+
+def merge_labels(
+    s_hubs: np.ndarray,
+    s_dists: np.ndarray,
+    t_hubs: np.ndarray,
+    t_dists: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The hubs two rank-sorted labels share, and ``d(s, w) + d(w, t)`` via each.
+
+    The label merge behind every scalar query: one ``np.searchsorted`` of
+    ``s``'s hubs into ``t``'s finds each common hub, where ``np.intersect1d``
+    would concatenate and sort both labels.  Returns ``(hubs, sums)`` in
+    increasing hub rank, so the first minimum of ``sums`` is at the
+    lowest-rank hub; ``sums`` are ``float64`` (exact for every distance type
+    stored here) and empty when the labels share no hub.
+    """
+    if not s_hubs.shape[0] or not t_hubs.shape[0]:
+        return s_hubs[:0], np.empty(0, dtype=np.float64)
+    at = np.searchsorted(t_hubs, s_hubs)
+    common = t_hubs.take(at, mode="clip") == s_hubs
+    return s_hubs[common], np.add(s_dists[common], t_dists[at[common]], dtype=np.float64)
+
+
+def intersect_query(
+    s_hubs: np.ndarray,
+    s_dists: np.ndarray,
+    t_hubs: np.ndarray,
+    t_dists: np.ndarray,
+) -> float:
+    """Minimum ``d(s, w) + d(w, t)`` over common hubs (``inf`` if none).
+
+    The scalar 2-hop query over two rank-sorted labels, via
+    :func:`merge_labels`.
+    """
+    _, sums = merge_labels(s_hubs, s_dists, t_hubs, t_dists)
+    return float(sums.min()) if sums.shape[0] else float("inf")
 
 
 class LabelAccumulator:
@@ -354,32 +391,18 @@ class LabelSet:
         distance; for a partial index (e.g. during construction analysis) it
         is an upper bound.  Returns ``inf`` when the labels share no hub.
         """
-        s_hubs, s_dists = self.vertex_label(s)
-        t_hubs, t_dists = self.vertex_label(t)
-        if s_hubs.shape[0] == 0 or t_hubs.shape[0] == 0:
-            return float("inf")
-        common, s_idx, t_idx = np.intersect1d(
-            s_hubs, t_hubs, assume_unique=True, return_indices=True
-        )
-        if common.shape[0] == 0:
-            return float("inf")
-        sums = s_dists[s_idx].astype(np.int64) + t_dists[t_idx].astype(np.int64)
-        return float(sums.min())
+        return intersect_query(*self.vertex_label(s), *self.vertex_label(t))
 
     def query_via(self, s: int, t: int) -> Tuple[float, Optional[int]]:
-        """Like :meth:`query` but also return the hub vertex realising the minimum."""
-        s_hubs, s_dists = self.vertex_label(s)
-        t_hubs, t_dists = self.vertex_label(t)
-        if s_hubs.shape[0] == 0 or t_hubs.shape[0] == 0:
+        """Like :meth:`query` but also return the hub vertex realising the minimum.
+
+        On a tie the lowest-rank hub wins.
+        """
+        hubs, sums = merge_labels(*self.vertex_label(s), *self.vertex_label(t))
+        if not sums.shape[0]:
             return float("inf"), None
-        common, s_idx, t_idx = np.intersect1d(
-            s_hubs, t_hubs, assume_unique=True, return_indices=True
-        )
-        if common.shape[0] == 0:
-            return float("inf"), None
-        sums = s_dists[s_idx].astype(np.int64) + t_dists[t_idx].astype(np.int64)
-        best = int(np.argmin(sums))
-        return float(sums[best]), int(self._order[common[best]])
+        best = int(sums.argmin())
+        return float(sums[best]), int(self._order[hubs[best]])
 
     def query_many(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Vectorised-ish batch query over a sequence of ``(s, t)`` pairs."""

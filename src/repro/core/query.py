@@ -5,9 +5,11 @@ Three kernels are provided, mirroring Section 4.5 of the paper:
 * :func:`merge_join_query` — the textbook two-pointer merge join over two
   sorted label arrays, ``O(|L(s)| + |L(t)|)`` time.  This is the reference
   implementation used by tests.
-* :func:`intersect_query` — the numpy ``intersect1d`` variant used by
-  :class:`~repro.core.labels.LabelSet` at query time; asymptotically a log
-  factor worse but far faster in practice under the Python interpreter.
+* :func:`intersect_query` — the vectorised merge behind
+  :meth:`~repro.core.labels.LabelSet.query` (defined beside it in
+  :mod:`repro.core.labels`): one ``searchsorted`` of one label's hubs into
+  the other's, asymptotically a log factor worse but far faster in practice
+  under the Python interpreter.
 * :class:`RootedQueryEvaluator` — the "targeted" evaluator used for the prune
   test during indexing.  It materialises the current root's label into a
   temporary distance array ``T`` indexed by hub rank, so each prune test costs
@@ -28,7 +30,7 @@ import numpy as np
 from repro.core.kernels import DtypePlan, KernelData, KernelSelection, create_kernel
 from repro.core.kernels import plan_dtypes as _plan_dtypes
 from repro.core.kernels.narrow import NARROW_FIELDS, derive_narrow_fields
-from repro.core.labels import INF_DISTANCE, LabelAccumulator, LabelSet
+from repro.core.labels import INF_DISTANCE, LabelAccumulator, LabelSet, intersect_query
 from repro.core.storage import ArrayBackend
 
 #: Backend field name of the precomputed kernel key array (shared with the
@@ -70,24 +72,6 @@ def merge_join_query(
         else:
             j += 1
     return best
-
-
-def intersect_query(
-    s_hubs: np.ndarray,
-    s_dists: np.ndarray,
-    t_hubs: np.ndarray,
-    t_dists: np.ndarray,
-) -> float:
-    """Numpy set-intersection variant of the merge join (labels must be sorted)."""
-    if s_hubs.shape[0] == 0 or t_hubs.shape[0] == 0:
-        return float("inf")
-    _, s_idx, t_idx = np.intersect1d(
-        s_hubs, t_hubs, assume_unique=True, return_indices=True
-    )
-    if s_idx.shape[0] == 0:
-        return float("inf")
-    sums = s_dists[s_idx].astype(np.int64) + t_dists[t_idx].astype(np.int64)
-    return float(sums.min())
 
 
 class RootedQueryEvaluator:

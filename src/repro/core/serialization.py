@@ -10,10 +10,13 @@ share with the shared-memory snapshot export:
 * raw — the single-file aligned layout of :func:`repro.core.storage.write_raw`,
   chosen automatically for any output path *not* ending in ``.npz``.  Raw
   files are uncompressed so that ``load_index(path, mmap=True)`` can open
-  them **zero-copy**: every label array is a read-only ``np.memmap`` view and
-  the OS pages label regions in on demand — the paper's disk-based serving
-  shape, and the fastest way to get a large index serving (nothing is
-  decompressed or copied at load time).
+  them **zero-copy**: every array is a read-only ndarray view of one memory
+  map of the file, and the OS pages label regions in on demand — the paper's
+  disk-based serving shape, and the fastest way to get a large index serving
+  (nothing is decompressed or copied at load time).  The views are plain
+  ``np.ndarray`` rather than ``np.memmap``, whose per-call Python hooks would
+  otherwise dominate the small numpy operations of a scalar query (see
+  :class:`~repro.core.storage.MmapBackend`).
 
 A loaded index answers queries without access to the original graph.
 
@@ -131,7 +134,7 @@ def index_from_arrays(
     """Reassemble an index from a field lookup (inverse of :func:`index_to_arrays`).
 
     ``get`` returns the array stored under a field name — an npz archive
-    lookup, a backend ``get``, or memmap views; the arrays are used as-is
+    lookup, a backend ``get``, or memory-map views; the arrays are used as-is
     (no copy), so zero-copy sources stay zero-copy.  ``backend`` is attached
     to the label set purely to keep the backing storage alive.
 
@@ -305,8 +308,9 @@ def load_index(path: PathLike, *, mmap: bool = False) -> PrunedLandmarkLabeling:
     path:
         Either format written by :func:`save_index` (sniffed by magic bytes).
     mmap:
-        Zero-copy load: every label array is a **read-only** memory-mapped
-        view of the file, paged in on demand, never copied onto the heap.
+        Zero-copy load: every array is a **read-only** ndarray view of a
+        memory map of the file, paged in on demand, never copied onto the
+        heap.
         Requires the raw layout — compressed npz archives cannot be mapped;
         re-save with a non-``.npz`` suffix to use this.
     """

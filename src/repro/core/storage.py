@@ -39,6 +39,7 @@ backend's field directory.  Backends own segment lifetime only; refcounted
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import secrets
 import threading
@@ -480,9 +481,14 @@ def read_raw_meta(path: PathLike) -> Dict:
 class MmapBackend:
     """Read-only zero-copy views over a raw-layout file.
 
-    Arrays are ``np.memmap`` views: nothing is read from disk until a query
-    touches the corresponding pages, and nothing is ever copied onto the
-    heap.  All arrays are read-only — the file is the source of truth.
+    The file is mapped once, and every array is a read-only plain
+    ``np.ndarray`` view into that memory map: nothing is read from disk until
+    a query touches the corresponding pages, and nothing is ever copied onto
+    the heap.  The views are deliberately not ``np.memmap`` instances — that
+    subclass runs Python-level hooks (``__array_finalize__``,
+    ``__array_wrap__``) on every numpy call that touches it, which dominated
+    the cost of the small per-query operations.  The file is the source of
+    truth; the views cannot be written.
     """
 
     writable = False
@@ -491,15 +497,17 @@ class MmapBackend:
         self.path = Path(path)
         header, data_start = _read_raw_header(self.path)
         self.meta: Dict = header["meta"]
-        self._arrays: Dict[str, np.ndarray] = {}
-        for field, spec in header["fields"].items():
-            self._arrays[field] = np.memmap(
-                self.path,
+        with open(self.path, "rb") as handle:
+            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        self._arrays: Dict[str, np.ndarray] = {
+            field: np.ndarray(
+                tuple(spec["shape"]),
                 dtype=np.dtype(spec["dtype"]),
-                mode="r",
+                buffer=mapping,
                 offset=data_start + int(spec["offset"]),
-                shape=tuple(spec["shape"]),
             )
+            for field, spec in header["fields"].items()
+        }
 
     def empty(self, field: str, shape, dtype) -> np.ndarray:
         raise SerializationError("MmapBackend is read-only")

@@ -21,6 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.labels import intersect_query
 from repro.errors import IndexBuildError, IndexStateError
 from repro.graph.csr import Graph
 from repro.graph.ordering import compute_order
@@ -76,16 +77,7 @@ class WeightedLabelSet:
 
     def query(self, s: int, t: int) -> float:
         """Minimum ``d(s, w) + d(w, t)`` over common hubs (``inf`` if disjoint)."""
-        s_hubs, s_dists = self.vertex_label(s)
-        t_hubs, t_dists = self.vertex_label(t)
-        if s_hubs.shape[0] == 0 or t_hubs.shape[0] == 0:
-            return float("inf")
-        _, s_idx, t_idx = np.intersect1d(
-            s_hubs, t_hubs, assume_unique=True, return_indices=True
-        )
-        if s_idx.shape[0] == 0:
-            return float("inf")
-        return float((s_dists[s_idx] + t_dists[t_idx]).min())
+        return intersect_query(*self.vertex_label(s), *self.vertex_label(t))
 
 
 class WeightedPrunedLandmarkLabeling:

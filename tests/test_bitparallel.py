@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.bitparallel import (
     BP_INF,
@@ -14,7 +19,10 @@ from repro.core.bitparallel import (
     query_upper_bounds_for_root,
     select_bit_parallel_roots,
 )
+from repro.core.index import PrunedLandmarkLabeling
+from repro.core.serialization import load_index, save_index
 from repro.errors import IndexBuildError
+from repro.graph.csr import Graph
 from repro.graph.ordering import degree_order
 from repro.graph.traversal import UNREACHABLE, bfs_distances
 from tests.conftest import random_test_graphs
@@ -172,3 +180,95 @@ class TestBitParallelQuery:
             medium_social_graph, degree_order(medium_social_graph), 0
         )
         assert bp.empty()
+
+
+# ---------------------------------------------------------------------------
+# Property test: every vectorised bound equals a per-root loop (Section 5.3)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def multi_component_graphs(draw):
+    """Random graphs made of 2-4 vertex-disjoint random components.
+
+    Every bit-parallel root then misses the vertices of the other components,
+    so the bounds meet unreachable roots on both sides of a pair.
+    """
+    edges, offset = [], 0
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        size = draw(st.integers(min_value=1, max_value=10))
+        ends = st.integers(min_value=offset, max_value=offset + size - 1)
+        edges += draw(st.lists(st.tuples(ends, ends), max_size=3 * size))
+        offset += size
+    return Graph(offset, edges)
+
+
+def reference_bound(bp: BitParallelLabels, s: int, t: int) -> float:
+    """Section 5.3 written out: per root, ``d_s + d_t`` minus 2 when
+    ``S^-1(s) & S^-1(t)`` is non-empty, else minus 1 when ``S^-1(s) & S^0(t)``
+    or ``S^0(s) & S^-1(t)`` is; the minimum over roots reaching both ends."""
+    best = float("inf")
+    for k in range(bp.num_roots):
+        d_s, d_t = int(bp.dist[k, s]), int(bp.dist[k, t])
+        if d_s == BP_INF or d_t == BP_INF:
+            continue
+        m_s, z_s = int(bp.s_minus[k, s]), int(bp.s_zero[k, s])
+        m_t, z_t = int(bp.s_minus[k, t]), int(bp.s_zero[k, t])
+        bound = d_s + d_t
+        if m_s & m_t:
+            bound -= 2
+        elif (m_s & z_t) or (z_s & m_t):
+            bound -= 1
+        best = min(best, bound)
+    return best
+
+
+#: Root 0 with sub-roots {1, 3, 6, 7}: through it, the pair (2, 5) is bounded
+#: only by the S^0(s) & S^-1(t) term (sub-root 3 is level with 0 for vertex 2
+#: and one step closer for vertex 5), which random graphs rarely isolate.
+#: Vertices 8-9 form a second component.
+ZERO_MINUS_ONLY = Graph(
+    10, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 2), (3, 5), (0, 6), (0, 7), (8, 9)]
+)
+
+
+class TestBoundsMatchReference:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(graph=multi_component_graphs(), num_roots=st.integers(min_value=0, max_value=8))
+    @example(graph=ZERO_MINUS_ONLY, num_roots=1)
+    def test_heap_and_mmap_loads_match_per_root_loop(self, graph, num_roots):
+        index = PrunedLandmarkLabeling(num_bit_parallel_roots=num_roots).build(graph)
+        n = graph.num_vertices
+        vertices = np.arange(n, dtype=np.int64)
+        sources, targets = (grid.ravel() for grid in np.meshgrid(vertices, vertices))
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "index.pll"
+            save_index(index, path)
+            for loaded in (load_index(path), load_index(path, mmap=True)):
+                bp = loaded.bit_parallel_labels
+                expected = np.array(
+                    [[reference_bound(bp, s, t) for t in range(n)] for s in range(n)]
+                )
+                for s in range(n):
+                    for t in range(n):
+                        assert bp.query(s, t) == expected[s, t], (s, t)
+                    assert np.array_equal(bp.query_one_to_many(s), expected[s])
+                    picks = vertices[::2]
+                    assert np.array_equal(bp.query_one_to_many(s, picks), expected[s, picks])
+                    raw = query_upper_bounds_for_root(bp, s, vertices)
+                    bounds = np.where(raw >= BP_INF, np.inf, raw)
+                    assert np.array_equal(bounds, expected[s])
+                assert np.array_equal(
+                    bp.query_pairs(sources, targets), expected[sources, targets]
+                )
+                # Root by root too: the minimum over roots can hide a wrong
+                # bound through one of them.
+                for k in range(bp.num_roots):
+                    one = BitParallelLabels(
+                        bp.roots[k: k + 1], bp.root_sets[k: k + 1],
+                        bp.dist[k: k + 1], bp.s_minus[k: k + 1], bp.s_zero[k: k + 1],
+                    )
+                    assert np.array_equal(
+                        one.query_pairs(sources, targets),
+                        [reference_bound(one, s, t) for s, t in zip(sources, targets)],
+                    )

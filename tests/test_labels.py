@@ -87,6 +87,14 @@ class TestLabelSet:
         assert distance == 2.0
         assert hub == 1
 
+    def test_query_via_tie_goes_to_lowest_rank_hub(self):
+        accumulator = LabelAccumulator(3)
+        for vertex in (0, 1):
+            for hub_rank, distance in ((0, 1), (1, 1), (2, 3)):
+                accumulator.append(vertex, hub_rank, distance)
+        labels = accumulator.freeze(np.array([2, 1, 0]))
+        assert labels.query_via(0, 1) == (2.0, 2)
+
     def test_query_disjoint_labels_is_inf(self):
         accumulator = LabelAccumulator(2)
         accumulator.append(0, 0, 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,42 @@ class TestRawLayout:
         scalar = [mapped.distance(s, t) for s, t in pairs]
         assert np.array_equal(batched, np.asarray(scalar))
         assert np.array_equal(batched, index.distances(pairs))
+
+    def test_mmap_load_hands_out_plain_zero_copy_views(self, tmp_path, medium_social_graph):
+        """Every stored array of a mapped index is a plain read-only ndarray
+        over the file's memory map: not an ``np.memmap`` (whose per-call
+        Python hooks slow every small query operation) and not a heap copy."""
+        index = PrunedLandmarkLabeling(num_bit_parallel_roots=4).build(
+            medium_social_graph
+        )
+        path = tmp_path / "index.pll"
+        save_index(index, path)
+        mapped = load_index(path, mmap=True)
+
+        labels = mapped.label_set
+        bp = mapped.bit_parallel_labels
+        kernel = mapped.prepare_batch_kernel()
+        narrow = kernel.narrow_fields()
+        assert narrow, "the small test index should get the narrow layout"
+        arrays = {
+            "label_indptr": labels.indptr,
+            "label_hubs": labels.hub_ranks,
+            "label_dists": labels.distances,
+            "order": labels.order,
+            "bp_roots": bp.roots,
+            "bp_dist": bp.dist,
+            "bp_s_minus": bp.s_minus,
+            "bp_s_zero": bp.s_zero,
+            "kernel_keys": kernel.keys,
+            **narrow,
+        }
+        for name, array in arrays.items():
+            assert type(array) is np.ndarray, name
+            assert not array.flags.writeable, name
+            base = array
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base, mmap.mmap), name
 
     def test_mmap_load_rejects_npz(self, tmp_path, small_social_graph):
         index = PrunedLandmarkLabeling().build(small_social_graph)
