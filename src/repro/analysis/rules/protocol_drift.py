@@ -1,14 +1,18 @@
 """RL004 — wire replies and protocol vocabulary live in ``protocol.py`` only.
 
-Three front ends (stdio, threaded TCP, asyncio) speak the same line protocol.
-The only reason they *stay* wire-identical — the property the equality tests
-pin — is that every reply string and every command word comes from
-``repro.serving.protocol``.  PR 6's review round caught inline
-``f"error: ..."`` formatting drifting between ``server.py`` and ``aio.py``;
-this rule makes that a build failure.
+Stdio sessions and TCP connections share one line-protocol handler
+(``AsyncQueryFrontend._handle_line``), and the blocking facade, ``--mutations``
+replay and the live protocol share one mutation dispatch.  Replies stay
+wire-identical across those surfaces — the property the equality tests pin —
+because every reply string and every command word comes from
+``repro.serving.protocol``.  Inline ``f"error: ..."`` formatting once drifted
+between two copies of the handler; this rule makes a new inline reply or
+command literal a build failure.
 
-Scope: the front-end modules (``serving/server.py``, ``serving/aio.py``).
-Flagged there:
+Scope: the modules that format replies or dispatch on protocol vocabulary
+(``serving/aio.py``: the handler and the mutation dispatch;
+``serving/server.py``: stdio errors and ``--mutations`` replay).  Flagged
+there:
 
 * f-strings or plain string constants that begin with a wire reply prefix
   (``"ok "`` / ``"error:"``) — replies must be built by ``protocol.py``
@@ -72,8 +76,9 @@ class ProtocolDriftRule(Rule):
         "strings or protocol command literals; use protocol.py helpers/constants"
     )
     rationale = (
-        "three front ends stay wire-identical only because replies and vocabulary "
-        "are defined once in protocol.py; inline literals drift"
+        "stdio and TCP answer through one handler, and stay wire-identical to the "
+        "equality tests only because replies and vocabulary are defined once in "
+        "protocol.py; inline literals drift"
     )
 
     def applies_to(self, ctx: ModuleContext) -> bool:

@@ -119,22 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="TCP port to listen on; omit to serve stdin/stdout instead",
     )
-    serve.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help=(
-            "serve the line protocol from a single asyncio event loop instead "
-            "of one thread per connection — thousands of mostly-idle clients "
-            "cost a few coroutines each, not a thread; requires --port"
-        ),
-    )
+    # Accepted for old command lines: TCP is always served from the event loop.
+    serve.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     serve.add_argument(
         "--http-port",
         type=int,
         default=None,
         help=(
-            "also bind an HTTP admin plane on this port (async mode only): "
+            "also bind an HTTP admin plane on this port (requires --port): "
             "GET /metrics (Prometheus text exposition incl. latency/stage "
             "histograms and ALERTS series), GET /healthz, POST /publish, "
             "GET /alerts, GET /traces, GET /debug/threads, "
@@ -484,19 +476,15 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _run_serve_command(args: argparse.Namespace) -> int:
     from repro.core.serialization import load_index
-    from repro.errors import GraphError, ReproError, SerializationError
+    from repro.errors import GraphError, SerializationError
     from repro.graph.io import read_edge_list
     from repro.serving import (
         LRUCache,
-        QueryServer,
         ServerMetrics,
         ShardedQueryEngine,
         SnapshotManager,
         StructuredLogger,
         TraceRecorder,
-        replay_mutations,
-        serve_stdio,
-        serve_tcp,
     )
 
     if (args.index is None) == (args.edge_list is None):
@@ -508,17 +496,10 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
-    if args.use_async and args.port is None:
+    if args.http_port is not None and args.port is None:
         print(
-            "error: --async serves TCP (and optional HTTP) from an event "
-            "loop; it requires --port",
-            file=sys.stderr,
-        )
-        return 2
-    if args.http_port is not None and not args.use_async:
-        print(
-            "error: the HTTP admin plane (--http-port) is part of the async "
-            "front end; add --async",
+            "error: the HTTP admin plane (--http-port) is served beside the "
+            "TCP listener; it requires --port",
             file=sys.stderr,
         )
         return 2
@@ -627,7 +608,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
                 batch_size=args.batch_size,
                 workers=args.workers,
                 writable=manager.writable,
-                frontend="async" if args.use_async else "threaded",
                 slow_ms=args.slow_ms,
                 kernel=kernel_info["selected"],
             )
@@ -636,7 +616,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
                 f"serving {manager.current.engine.num_vertices} vertices from {source} "
                 f"(cache={args.cache_size}, batch={args.batch_size}, "
                 f"workers={args.workers}, writable={manager.writable}, "
-                f"frontend={'async' if args.use_async else 'threaded'}, "
                 f"kernel={kernel_info['selected']})",
                 file=sys.stderr,
             )
@@ -644,27 +623,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
             exit_code = _warm_serve_cache(args, backend, manager, cache, logger)
             if exit_code != 0:
                 return exit_code
-        if args.use_async:
-            return _run_async_serve(
-                args, backend, manager, metrics, cache, tracer, logger
-            )
-        server = QueryServer(
-            backend,
-            cache=cache,
-            max_batch_size=args.batch_size,
-            batch_timeout=args.batch_timeout_ms / 1000.0,
-            max_pending=args.max_pending,
-            metrics=metrics,
-            tracer=tracer,
-            logger=logger.child("server") if logger is not None else None,
-        )
-        health, shadow = _start_observability(args, server, logger)
-        try:
-            return _run_serve_loop(
-                args, server, manager, replay_mutations, serve_stdio, serve_tcp, logger
-            )
-        finally:
-            _stop_observability(health, shadow)
+        return _serve_front_end(args, backend, manager, metrics, cache, tracer, logger)
     finally:
         if engine is not None:
             engine.close()
@@ -680,9 +639,9 @@ def _run_serve_command(args: argparse.Namespace) -> int:
 def _start_observability(args, front, logger=None):
     """Attach the health engine and shadow canary to a serving front end.
 
-    Works for both the threaded :class:`QueryServer` and the asyncio
-    :class:`AsyncQueryFrontend` — each exposes ``metrics_snapshot`` plus the
-    caller-owned ``health`` / ``shadow`` attachment slots.  Returns
+    Works for the blocking :class:`QueryServer` facade and the
+    :class:`AsyncQueryFrontend` it wraps — each exposes ``metrics_snapshot``
+    plus the caller-owned ``health`` / ``shadow`` attachment slots.  Returns
     ``(health, shadow)`` (either may be ``None``) for :func:`_stop_observability`.
     """
     from repro.serving import HealthMonitor, ShadowCanary
@@ -746,37 +705,42 @@ def _warm_serve_cache(args, backend, manager, cache, logger=None) -> int:
     return 0
 
 
-def _run_async_serve(args, backend, manager, metrics, cache, tracer=None, logger=None) -> int:
-    """Serve through the asyncio front end until SIGTERM/SIGINT drains it."""
+def _serve_front_end(args, backend, manager, metrics, cache, tracer=None, logger=None) -> int:
+    """Serve stdio through the blocking facade, or TCP (+ HTTP) from the event
+    loop, until EOF/``QUIT`` or SIGTERM/SIGINT drains it."""
     import asyncio
 
     from repro.errors import ReproError
-    from repro.serving import AsyncQueryFrontend, QueryServer, replay_mutations
+    from repro.serving import AsyncQueryFrontend, QueryServer, replay_mutations, serve_stdio
 
-    # Constructed before any mutations replay: the frontend pins the current
+    # Constructed before any mutations replay: the front end pins the current
     # snapshot version for cache invalidation at construction, so a replayed
     # publish afterwards bumps the version and flushes any --warm entries on
     # the first batch instead of serving them stale.
-    frontend = AsyncQueryFrontend(
-        backend,
+    knobs = dict(
         cache=cache,
         max_batch_size=args.batch_size,
         batch_timeout=args.batch_timeout_ms / 1000.0,
         max_pending=args.max_pending,
         metrics=metrics,
-        health_check_interval=5.0 if args.workers > 1 else None,
         tracer=tracer,
-        logger=logger.child("aio") if logger is not None else None,
     )
+    if args.port is None:
+        front = QueryServer(
+            backend, logger=logger.child("server") if logger is not None else None, **knobs
+        )
+    else:
+        front = AsyncQueryFrontend(
+            backend,
+            health_check_interval=5.0 if args.workers > 1 else None,
+            logger=logger.child("aio") if logger is not None else None,
+            **knobs,
+        )
 
     if args.mutations is not None:
-        # Replay before any listener exists.  The never-started QueryServer is
-        # only a shim reusing the threaded server's mutation dispatch; it
-        # serves no queries.
-        shim = QueryServer(backend, metrics=metrics)
         try:
             with open(args.mutations, "r", encoding="utf-8") as handle:
-                counts = replay_mutations(shim, handle)
+                counts = replay_mutations(front, handle)
         except (OSError, ValueError, ReproError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -814,18 +778,29 @@ def _run_async_serve(args, backend, manager, metrics, cache, tracer=None, logger
             )
         sys.stderr.flush()
 
-    health, shadow = _start_observability(args, frontend, logger)
+    health, shadow = _start_observability(args, front, logger)
     try:
-        asyncio.run(
-            frontend.serve(
-                args.host, args.port, http_port=args.http_port, ready=announce
+        if args.port is None:
+            if logger is not None:
+                logger.event("listening", transport="stdio")
+            else:
+                print(
+                    "reading queries from stdin ('s t' or 's,t' per line; "
+                    "add/remove a b and publish to mutate; STATS for metrics; "
+                    "TRACES for recent traces; QUIT to exit)",
+                    file=sys.stderr,
+                )
+            with front:
+                serve_stdio(front)
+        else:
+            asyncio.run(
+                front.serve(args.host, args.port, http_port=args.http_port, ready=announce)
             )
-        )
-    except KeyboardInterrupt:  # pragma: no cover - non-main-thread loops only
+    except KeyboardInterrupt:  # pragma: no cover - interactive or non-main-thread loops
         pass
     finally:
         _stop_observability(health, shadow)
-    stats = frontend.metrics_snapshot()
+    stats = front.metrics_snapshot()
     if logger is not None:
         logger.event(
             "serve_done",
@@ -842,76 +817,6 @@ def _run_async_serve(args, backend, manager, metrics, cache, tracer=None, logger
             f"p99 {stats['latency_p99_ms']:.3f} ms)",
             file=sys.stderr,
         )
-    return 0
-
-
-def _run_serve_loop(
-    args, server, manager, replay_mutations, serve_stdio, serve_tcp, logger=None
-) -> int:
-    from repro.errors import ReproError
-
-    with server:
-        if args.mutations is not None:
-            try:
-                with open(args.mutations, "r", encoding="utf-8") as handle:
-                    counts = replay_mutations(server, handle)
-            except (OSError, ValueError, ReproError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            if logger is not None:
-                logger.event(
-                    "mutations_replayed", path=args.mutations,
-                    version=manager.version, **counts,
-                )
-            else:
-                print(
-                    f"replayed {args.mutations}: {counts['added']} insertions, "
-                    f"{counts['removed']} deletions, {counts['published']} "
-                    f"publishes (now at version {manager.version})",
-                    file=sys.stderr,
-                )
-        if args.port is None:
-            if logger is not None:
-                logger.event("listening", transport="stdio")
-            else:
-                print(
-                    "reading queries from stdin ('s t' or 's,t' per line; "
-                    "add/remove a b and publish to mutate; STATS for metrics; "
-                    "TRACES for recent traces; QUIT to exit)",
-                    file=sys.stderr,
-                )
-            serve_stdio(server)
-        else:
-            tcp = serve_tcp(server, args.host, args.port)
-            host, port = tcp.server_address[:2]
-            if logger is not None:
-                logger.event("listening", host=host, port=port, frontend="threaded")
-            else:
-                print(f"listening on {host}:{port}", file=sys.stderr)
-            try:
-                tcp.serve_forever()
-            except KeyboardInterrupt:  # pragma: no cover - interactive only
-                pass
-            finally:
-                tcp.shutdown()
-                tcp.server_close()
-        stats = server.metrics_snapshot()
-        if logger is not None:
-            logger.event(
-                "serve_done",
-                num_queries=stats["num_queries"],
-                num_batches=stats["num_batches"],
-                latency_p50_ms=stats["latency_p50_ms"],
-                latency_p99_ms=stats["latency_p99_ms"],
-            )
-        else:
-            print(
-                f"served {stats['num_queries']:.0f} queries in "
-                f"{stats['num_batches']:.0f} batches "
-                f"(p50 {stats['latency_p50_ms']:.3f} ms, "
-                f"p99 {stats['latency_p99_ms']:.3f} ms)",
-                file=sys.stderr,
-            )
     return 0
 
 

@@ -50,7 +50,7 @@ _SUITES: Dict[str, BenchSuite] = {
             "bench_observability.py",
             "tracing/metrics instrumentation overhead",
         ),
-        BenchSuite("serving", "bench_serving.py", "batch engine, cache, threaded server"),
+        BenchSuite("serving", "bench_serving.py", "batch engine, cache, blocking query server"),
         BenchSuite("query_latency", "bench_query_latency.py", "single-pair query latency"),
         # Paper-reproduction suites.
         BenchSuite("table1", "bench_table1.py", "paper Table 1: index construction"),

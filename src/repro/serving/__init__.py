@@ -11,14 +11,17 @@ while the index is updated underneath it.
   cache with hit/miss/eviction counters.
 * :mod:`~repro.serving.snapshot` — :class:`SnapshotManager`, lock-free
   reader snapshots with atomic hot swap of updated or reloaded indexes.
-* :mod:`~repro.serving.server` — :class:`QueryServer`, the threaded request
-  loop with coalescing and admission control, plus stdio/TCP front ends and
-  the cache-warming replay (:func:`warm_cache`).
-* :mod:`~repro.serving.aio` — :class:`AsyncQueryFrontend`, the asyncio front
-  end multiplexing thousands of connections on one event loop, with the
-  HTTP admin plane (Prometheus ``/metrics``, ``/healthz``, ``/publish``,
-  ``/alerts``) plus the debug surface (``/traces``, ``/debug/threads``,
-  ``/debug/profile``, ``/debug/bundle``) and graceful drain.
+* :mod:`~repro.serving.aio` — :class:`AsyncQueryFrontend`, the one request
+  pipeline (admission control, coalescing, cache, tracing, mutation
+  dispatch, metrics) and the line-protocol handler, multiplexing thousands
+  of TCP connections on one event loop, with the HTTP admin plane
+  (Prometheus ``/metrics``, ``/healthz``, ``/publish``, ``/alerts``) plus
+  the debug surface (``/traces``, ``/debug/threads``, ``/debug/profile``,
+  ``/debug/bundle``) and graceful drain.
+* :mod:`~repro.serving.server` — :class:`QueryServer`, the blocking facade
+  running a front end on a private event-loop thread, plus the stdio
+  session (:func:`serve_stdio`), ``--mutations`` replay and the
+  cache-warming replay (:func:`warm_cache`).
 * :mod:`~repro.serving.alerts` — :class:`HealthMonitor`, the background
   health engine evaluating the default SLO/burn-rate alert rules against
   metrics snapshots, and :class:`ShadowCanary`, the sampled shadow
@@ -61,7 +64,6 @@ from repro.serving.server import (
     read_pairs_file,
     replay_mutations,
     serve_stdio,
-    serve_tcp,
     warm_cache,
 )
 from repro.serving.sharded import ShardedQueryEngine, default_worker_count
@@ -95,7 +97,6 @@ __all__ = [
     "read_pairs_file",
     "replay_mutations",
     "serve_stdio",
-    "serve_tcp",
     "warm_cache",
     "ServerMetrics",
     "LatencyWindow",

@@ -1,24 +1,25 @@
-"""Asyncio serving front end: thousands of connections on one event loop.
+"""Asyncio serving front end: the repository's one request pipeline.
 
-The threaded TCP server (:mod:`repro.serving.server`) pins one thread per
-connection, so a few thousand mostly-idle clients exhaust the thread budget
-long before the engine is saturated.  :class:`AsyncQueryFrontend` multiplexes
-all of them on a single event loop instead:
+:class:`AsyncQueryFrontend` owns admission control, coalescing, the hot-pair
+cache, tracing, mutation dispatch and metrics.  Every way of reaching the
+index goes through it: TCP clients and the HTTP admin plane on its event
+loop, and stdio sessions and in-process callers through the blocking
+:class:`~repro.serving.server.QueryServer` facade, which runs a front end on
+a private loop thread.
 
-* **Line protocol over asyncio streams.**  Every client connection speaks
-  exactly the protocol of the threaded server (``s t`` queries,
+* **Line protocol over asyncio streams.**  Every connection speaks the one
+  line protocol (``s t`` queries, ``many`` fan-outs,
   ``add``/``remove``/``publish`` mutations, ``STATS`` / ``STATS JSON``,
-  ``QUIT``); query, mutation and error replies are rendered through the
-  shared :mod:`~repro.serving.protocol` formatters, so they are
-  byte-identical across front ends (the stats replies additionally report
-  ``num_connections`` here).  An idle connection costs a couple of
-  suspended coroutines, not a thread.
+  ``TRACES``, ``ALERTS``, ``QUIT``) through :meth:`_handle_line`, which
+  stdio sessions share; replies are rendered by the
+  :mod:`~repro.serving.protocol` formatters.  Thousands of mostly-idle
+  connections cost a couple of suspended coroutines each, not a thread.
 * **Awaitable micro-batching.**  Requests land on an :class:`asyncio.Queue`;
-  a batcher coroutine coalesces them under the same deadline + max-batch
-  admission control as :class:`~repro.serving.server.QueryServer` and
-  dispatches each batch to the engine through ``run_in_executor`` — CPU work
-  (numpy label merges, or the sharded engine's cross-process fan-out) never
-  blocks the loop, so accepts and reads keep flowing while a batch computes.
+  a batcher coroutine coalesces them under a deadline + max-batch bound, with
+  ``max_pending`` admission control, and dispatches each batch to the engine
+  through ``run_in_executor`` — CPU work (numpy label merges, or the sharded
+  engine's cross-process fan-out) never blocks the loop, so accepts and
+  reads keep flowing while a batch computes.
 * **HTTP/1.1 admin plane.**  A second listener answers ``GET /metrics``
   (Prometheus text exposition — counters, gauges, latency/stage histograms
   and index-health gauges rendered from
@@ -42,7 +43,7 @@ all of them on a single event loop instead:
   coroutine pings the worker pool periodically; a broken pool is respawned
   by the engine and counted in the metrics.
 
-The front end accepts the same backends as the threaded server — a
+The front end accepts three backends — a
 :class:`~repro.serving.snapshot.SnapshotManager`, a bare
 :class:`~repro.serving.engine.BatchQueryEngine`, or a
 :class:`~repro.serving.sharded.ShardedQueryEngine` — and the same hot-pair
@@ -115,7 +116,10 @@ from repro.serving.protocol import (
 from repro.serving.snapshot import SnapshotManager
 from repro.serving.tracing import StructuredLogger, Trace, TraceRecorder
 
-__all__ = ["AsyncQueryFrontend"]
+__all__ = ["AsyncQueryFrontend", "NOT_ACCEPTING"]
+
+#: The error for a query reaching a front end that is not started or draining.
+NOT_ACCEPTING = "server is not accepting requests; call start() first"
 
 #: Hard cap on one ``/debug/profile`` capture, seconds.
 _MAX_PROFILE_SECONDS = 30.0
@@ -171,10 +175,11 @@ class AsyncQueryFrontend:
     cache:
         Optional hot-pair :class:`~repro.serving.cache.LRUCache`; hits skip
         the engine, and the cache is cleared when the snapshot version
-        changes (same invalidation rule as the threaded server).
+        changes.
     max_batch_size / batch_timeout / max_pending:
-        The admission-control and coalescing knobs, with the same meanings
-        and defaults as :class:`~repro.serving.server.QueryServer`.
+        Most pairs coalesced into one engine call, seconds the batcher waits
+        for more requests before dispatching a partial batch, and the bound
+        on admitted, unfinished requests (admission control).
     metrics:
         Optional shared :class:`~repro.serving.metrics.ServerMetrics`.
     health_check_interval:
@@ -412,9 +417,8 @@ class AsyncQueryFrontend:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue()
         # Two threads: one effectively serialises engine batches (the batcher
-        # awaits each dispatch, mirroring the threaded server's single
-        # worker), the other keeps mutations/publishes from stalling query
-        # batches behind them.
+        # awaits each dispatch), the other keeps mutations/publishes from
+        # stalling query batches behind them.
         self._executor = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-pll-aio"
         )
@@ -587,6 +591,16 @@ class AsyncQueryFrontend:
     # Client API (coroutines)
     # ------------------------------------------------------------------ #
 
+    def _check_admission(self) -> None:
+        """Raise unless one more request may be admitted right now."""
+        if not self._accepting:
+            raise ServingError(NOT_ACCEPTING)
+        if self._pending >= self.max_pending:
+            self.metrics.observe_rejection()
+            raise AdmissionError(
+                f"request rejected: {self.max_pending} requests already pending"
+            )
+
     def submit(
         self, sources: Sequence[int], targets: Sequence[int]
     ) -> "asyncio.Future[np.ndarray]":
@@ -604,16 +618,12 @@ class AsyncQueryFrontend:
         VertexError
             When a vertex id is out of range — validated at submission so one
             malformed request cannot fail the batch it would have joined.
+        ValueError
+            When ``sources`` and ``targets`` differ in length; coalesced
+            into one batch, misaligned requests would answer each other's
+            pairs.
         """
-        if not self._accepting:
-            raise ServingError(
-                "front end is not accepting requests; call start() first"
-            )
-        if self._pending >= self.max_pending:
-            self.metrics.observe_rejection()
-            raise AdmissionError(
-                f"request rejected: {self.max_pending} requests already pending"
-            )
+        self._check_admission()
         source_array = np.atleast_1d(np.asarray(sources, dtype=np.int64))
         target_array = np.atleast_1d(np.asarray(targets, dtype=np.int64))
         if source_array.shape != target_array.shape:
@@ -645,23 +655,17 @@ class AsyncQueryFrontend:
         """Distances from ``source`` to ``targets`` (all vertices when ``None``).
 
         Runs the engine fan-out on the executor (one kernel call, off the
-        loop) rather than through the pair batcher — same dispatch decision
-        as the threaded server's ``query_one_to_many``, same verb metrics.
-        Fan-outs still count against ``max_pending`` while in flight, so a
-        flood of ``many`` lines meets the same admission gate as point
-        queries instead of bypassing overload protection.
+        loop) rather than through the pair batcher: one fan-out amortises its
+        own kernel call, so coalescing it with point pairs would only delay
+        both.  Traced, histogrammed and counted like a one-request batch,
+        labelled with the ``one_to_many`` verb.  Fan-outs still count
+        against ``max_pending`` while in flight, so a flood of ``many`` lines
+        meets the same admission gate as point queries instead of bypassing
+        overload protection.
         """
-        if not self._accepting:
-            raise ServingError(
-                "front end is not accepting requests; call start() first"
-            )
         # Same synchronous check-then-increment as submit(): no suspension
         # point in between, so concurrent coroutines see a consistent count.
-        if self._pending >= self.max_pending:
-            self.metrics.observe_rejection()
-            raise AdmissionError(
-                f"request rejected: {self.max_pending} requests already pending"
-            )
+        self._check_admission()
         self._pending += 1
         try:
             start = time.perf_counter()
@@ -723,19 +727,20 @@ class AsyncQueryFrontend:
     ) -> str:
         """Apply one parsed mutation (``add`` / ``remove`` / ``publish``).
 
-        Same vocabulary and acknowledgement lines as
-        :meth:`~repro.serving.server.QueryServer.apply_mutation`; the work
-        runs on the executor so a slow publish never stalls the loop.
+        The work runs on the executor so a slow publish never stalls the
+        loop; returns the acknowledgement line.
         """
-        manager = self._require_manager()
         return await self._loop.run_in_executor(
-            self._executor, self._apply_mutation_sync, manager, op, endpoints
+            self._executor, self._apply_mutation_sync, op, endpoints
         )
 
-    @staticmethod
     def _apply_mutation_sync(
-        manager: SnapshotManager, op: str, endpoints: Optional[Tuple[int, int]]
+        self, op: str, endpoints: Optional[Tuple[int, int]]
     ) -> str:
+        """The one mutation dispatch: live protocol lines, the blocking
+        facade and ``--mutations`` replay all apply mutations here, on the
+        calling thread.  Returns the wire acknowledgement."""
+        manager = self._require_manager()
         if op == OP_PUBLISH:
             snapshot = manager.publish()
             return format_publish_ack(snapshot.version)
@@ -814,9 +819,11 @@ class AsyncQueryFrontend:
     ) -> None:
         """Stitch batch-shared spans into every request trace; feed histograms.
 
-        Mirrors :meth:`QueryServer._trace_batch`: per-request ``queue`` /
-        ``batch`` / ``reply`` spans plus the shared cache-probe and
-        kernel/shard spans from the engine dispatch.
+        Each request gets its own ``queue`` / ``batch`` / ``reply`` spans
+        (those durations differ per request) plus the *shared* cache-probe
+        and kernel/shard span objects — every request in the batch rode the
+        same engine call.  The same stage durations feed the per-stage
+        histograms in one call.
         """
         num_pairs = sum(len(request) for request in batch)
         reply_seconds = completed - eval_done
@@ -855,9 +862,11 @@ class AsyncQueryFrontend:
 
     async def _process_batch(self, batch) -> None:
         start = time.perf_counter()
-        # Shared span list for the whole batch (see QueryServer._process_batch);
-        # the executor thread appends to it, but only before the await
-        # completes, so the loop-side read below never races it.
+        # One span list for the whole batch: the cache probe and engine
+        # evaluation happen once per batch, so every request trace shares
+        # their spans.  Skipped when neither tracing nor stage histograms
+        # want the data.  The executor thread appends to it only before the
+        # await completes, so the loop-side read below never races it.
         want_spans = self.tracer.enabled or self.metrics.has_histograms
         batch_spans = [] if want_spans else None
         try:
@@ -986,8 +995,8 @@ class AsyncQueryFrontend:
     async def _handle_line(self, line: str) -> Optional[str]:
         """Evaluate one protocol line; ``None`` ends the session.
 
-        The command surface and every reply format match the threaded
-        server's ``_handle_line`` exactly.
+        The one command surface: TCP connections and stdio sessions (through
+        :func:`~repro.serving.server.serve_stdio`) both answer here.
         """
         stripped = line.strip()
         if not stripped:
@@ -1008,6 +1017,10 @@ class AsyncQueryFrontend:
                 return format_parse_error("mutation", stripped, exc)
             try:
                 return await self.apply_mutation(op, endpoints)
+            # ServingError: no writable shadow behind this front end;
+            # GraphError covers out-of-range endpoints; IndexBuildError the
+            # same from the dynamic oracle.  All client-attributable, so
+            # answer with an error line instead of killing the session.
             except (ServingError, GraphError, IndexBuildError) as exc:
                 return format_error(exc)
         if is_one_to_many(stripped):
@@ -1026,9 +1039,10 @@ class AsyncQueryFrontend:
             return format_parse_error("query", stripped, exc)
         try:
             distance = float((await self.submit([s], [t]))[0])
-        # Same client-attributable tuple as the threaded server's handler:
-        # TimeoutError covers a wedged sharded worker surfacing through the
-        # batch retry — answer an error line, never kill the session.
+        # Client-attributable failures answer an error line, never a
+        # traceback that kills the session: ServingError covers a draining
+        # front end, TimeoutError a wedged sharded worker surfacing through
+        # the batch retry.  Genuine engine bugs still raise.
         except (AdmissionError, ServingError, VertexError, TimeoutError) as exc:
             return format_error(exc)
         return format_distance_line(s, t, distance)
@@ -1200,6 +1214,11 @@ class AsyncQueryFrontend:
                 limit = int(params["limit"][0]) if "limit" in params else 32
             except (ValueError, IndexError):
                 limit = 32
+            if limit < 0:
+                await self._http_respond(
+                    writer, 400, json.dumps({"error": "limit must be non-negative"})
+                )
+                return
             await self._http_respond(writer, 200, self.traces_json(limit=limit))
             return
         if path == "/debug/threads":

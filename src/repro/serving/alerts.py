@@ -8,9 +8,9 @@ the serving stack three ways:
   can never drift from the exposition.
 * :class:`HealthMonitor` — a daemon thread that periodically feeds
   ``metrics_snapshot()`` into a :class:`~repro.obs.health.HealthEngine`.  A
-  plain thread works identically under the threaded and asyncio front ends
-  (snapshots are thread-safe on both), and keeps rule evaluation off the
-  event loop entirely.
+  plain thread works identically under the asyncio front end and the
+  blocking facade over it (snapshots are safe to take from any thread), and
+  keeps rule evaluation off the event loop entirely.
 * :class:`ShadowCanary` — online correctness re-verification: a sampled
   fraction of served batches is recomputed through the scalar baseline path
   (:meth:`PrunedLandmarkLabeling.distance`, the paper's Algorithm 2) on a
@@ -164,8 +164,8 @@ class HealthMonitor:
 
     A daemon thread calls ``snapshot_fn()`` every ``interval_seconds`` and
     folds the result into a :class:`HealthEngine`.  The same object works
-    under both front ends: ``QueryServer.metrics_snapshot`` and
-    ``AsyncQueryFrontend.metrics_snapshot`` are both safe to call from a
+    with ``QueryServer.metrics_snapshot`` and
+    ``AsyncQueryFrontend.metrics_snapshot``; both are safe to call from a
     foreign thread.  :meth:`tick` is public so tests (and benchmarks) can
     drive evaluation deterministically with an explicit clock instead of
     sleeping.

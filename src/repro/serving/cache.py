@@ -32,9 +32,9 @@ def cached_query_batch(
 ):
     """Answer one aligned batch through the hot-pair cache (probe-compute-store).
 
-    The one evaluation path every cache-fronted surface shares — the threaded
-    server, the asyncio front end and the ``--warm`` replay: probe the cache
-    for the whole batch, compute only the misses through
+    The one evaluation path every cache-fronted surface shares — the asyncio
+    front end (and the blocking facade over it) and the ``--warm`` replay:
+    probe the cache for the whole batch, compute only the misses through
     ``engine.query_batch``, store them back, return the full distance array.
     With ``cache=None`` the engine answers directly.
 

@@ -1,8 +1,8 @@
 """Shared parsing and reply formatting for the query wire/CLI protocol.
 
-The query front ends — the one-shot ``repro-pll query`` command, the
-threaded server's stdio/TCP sessions and the asyncio front end — accept the
-same pair syntax (``s t`` or ``s,t``).  Mutation lines (``add a b``,
+The one-shot ``repro-pll query`` command and the serving line protocol
+(stdio and TCP sessions alike answer through one handler) accept the same
+pair syntax (``s t`` or ``s,t``).  Mutation lines (``add a b``,
 ``remove a b``, ``publish``) use the same vocabulary in the live protocol
 and in ``--mutations`` replay files, and every front end renders replies
 through the formatters here.  This module is the single home for that
@@ -73,8 +73,8 @@ def normalize_command(line: str) -> str:
     """Canonicalise one protocol line for command matching.
 
     Uppercases and collapses internal whitespace, so ``"stats   json"``
-    matches :data:`STATS_COMMANDS`.  Both front ends (threaded and asyncio)
-    normalise through here so their command vocabularies cannot drift.
+    matches :data:`STATS_COMMANDS`.  The line-protocol handler normalises
+    through here, so command vocabulary is spelled in one place.
     """
     return " ".join(line.strip().upper().split())
 
@@ -224,7 +224,7 @@ def format_error(reason: object) -> str:
 
     ``reason`` is typically a caught exception; front ends must route every
     wire error through here (or :func:`format_parse_error`) so the reply
-    shape stays identical across the stdio, threaded and asyncio surfaces.
+    shape stays identical across the stdio and TCP surfaces.
     """
     return f"error: {reason}"
 

@@ -1,39 +1,29 @@
-"""Threaded query server: request batching, admission control, wire protocol.
+"""Blocking query API over the asyncio front end, plus stdio and file replays.
 
-The server turns independent client requests into the large batches the
-vectorised engine is fast at:
+:class:`QueryServer` is a thin blocking facade: it runs one
+:class:`~repro.serving.aio.AsyncQueryFrontend` (no listeners) on a private
+daemon event-loop thread.  Threads calling :meth:`~QueryServer.submit`,
+:meth:`~QueryServer.distance` or :meth:`~QueryServer.query_one_to_many` go
+through the same admission control, coalescing, hot-pair cache, tracing and
+metrics as network clients of ``repro-pll serve --port`` — the repository has
+one request pipeline.
 
-* Clients :meth:`~QueryServer.submit` requests (one or many pairs each) into
-  a bounded queue.  A full queue rejects immediately with
-  :class:`~repro.errors.AdmissionError` — fail fast beats an unbounded
-  backlog.
-* A single worker thread drains the queue, coalescing requests until either
-  ``max_batch_size`` pairs are gathered or ``batch_timeout`` elapses, probes
-  the hot-pair cache, evaluates the misses in one engine call against the
-  *current* snapshot, stores the results back into the cache and completes
-  every request.
-* Per-batch latency, throughput and cache statistics feed
-  :class:`~repro.serving.metrics.ServerMetrics`.
-
-Two thin front ends speak a line protocol (``s t`` or ``s,t`` per query;
-``add a b`` / ``remove a b`` to mutate the shadow graph and ``publish`` to
-hot-swap the mutations in; ``STATS`` / ``STATS JSON`` for a JSON metrics
-line; ``TRACES`` for the recent/slow trace rings as JSON; ``QUIT`` to end
-the session): :func:`serve_stdio` for
-pipes/interactive use and :func:`serve_tcp` for network clients (stdlib
-``socketserver``, one thread per connection — see
-:class:`~repro.serving.aio.AsyncQueryFrontend` for the event-loop front end
-that multiplexes thousands of connections instead).  :func:`replay_mutations`
-drives the same mutation vocabulary from a file (the ``--mutations`` serve
-option), and :func:`warm_cache` replays a query log into the hot-pair cache
-before a listener starts accepting traffic (the ``--warm`` serve option).
+* :func:`serve_stdio` speaks the line protocol (``s t`` or ``s,t`` per query;
+  ``add a b`` / ``remove a b`` / ``publish`` to mutate and hot-swap;
+  ``STATS`` / ``STATS JSON``, ``TRACES``, ``ALERTS``; ``QUIT``) over text
+  streams by feeding each line to the front end's handler, so stdio, TCP and
+  the HTTP admin plane share one command surface.
+* :func:`replay_mutations` drives the same mutation vocabulary from a file
+  (the ``--mutations`` serve option) through the front end's one mutation
+  dispatch.
+* :func:`warm_cache` replays a query log into the hot-pair cache before a
+  listener starts accepting traffic (the ``--warm`` serve option).
 """
 
 from __future__ import annotations
 
-import json
-import queue
-import socketserver
+import asyncio
+import concurrent.futures
 import sys
 import threading
 import time
@@ -41,43 +31,22 @@ from typing import IO, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.index import validate_vertex_ids
-from repro.errors import (
-    AdmissionError,
-    GraphError,
-    IndexBuildError,
-    ServingError,
-    VertexError,
-)
-from repro.serving.alerts import HealthMonitor, ShadowCanary, alerts_wire_reply, augment_snapshot
+from repro.errors import ServingError
+from repro.serving.aio import NOT_ACCEPTING, AsyncQueryFrontend
+from repro.serving.alerts import HealthMonitor, ShadowCanary
 from repro.serving.cache import LRUCache, cached_query_batch
 from repro.serving.engine import BatchQueryEngine
 from repro.serving.metrics import ServerMetrics
 from repro.serving.protocol import (
-    ALERTS_COMMAND,
     OP_ADD,
     OP_PUBLISH,
     OP_REMOVE,
-    QUIT_COMMANDS,
-    STATS_COMMANDS,
-    TRACES_COMMAND,
-    VERB_ONE_TO_MANY,
-    VERB_PAIR,
-    format_distance_line,
     format_error,
-    format_mutation_ack,
-    format_one_to_many_reply,
-    format_parse_error,
-    format_publish_ack,
-    is_mutation,
-    is_one_to_many,
-    normalize_command,
     parse_mutation,
-    parse_one_to_many,
     parse_pair,
 )
 from repro.serving.snapshot import SnapshotManager
-from repro.serving.tracing import StructuredLogger, Trace, TraceRecorder
+from repro.serving.tracing import StructuredLogger, TraceRecorder
 
 __all__ = [
     "QueryRequest",
@@ -85,67 +54,46 @@ __all__ = [
     "read_pairs_file",
     "replay_mutations",
     "serve_stdio",
-    "serve_tcp",
     "warm_cache",
 ]
 
 
 class QueryRequest:
-    """One submitted unit of work: aligned source/target arrays plus a result slot."""
+    """One admitted request; :meth:`wait` blocks until its distances are ready."""
 
-    __slots__ = (
-        "sources",
-        "targets",
-        "result",
-        "error",
-        "created",
-        "dequeued",
-        "trace",
-        "_done",
-    )
+    __slots__ = ("_future",)
 
-    def __init__(self, sources: np.ndarray, targets: np.ndarray) -> None:
-        self.sources = sources
-        self.targets = targets
-        self.result: Optional[np.ndarray] = None
-        self.error: Optional[BaseException] = None
-        #: Submission time; completion minus this is the client-observed latency.
-        self.created = time.perf_counter()
-        #: Stamped by the batcher when it pulls the request off the queue;
-        #: ``dequeued - created`` is the queue-wait stage of the trace.
-        self.dequeued = self.created
-        #: The request's open trace (``None`` when tracing is off).
-        self.trace: Optional[Trace] = None
-        self._done = threading.Event()
-
-    def __len__(self) -> int:
-        return int(self.sources.shape[0])
+    def __init__(self) -> None:
+        self._future: "concurrent.futures.Future[np.ndarray]" = (
+            concurrent.futures.Future()
+        )
 
     @property
     def done(self) -> bool:
         """Whether the request has been completed (successfully or not)."""
-        return self._done.is_set()
+        return self._future.done()
 
     def wait(self, timeout: Optional[float] = None) -> np.ndarray:
         """Block until the request completes; return distances or re-raise its error."""
-        if not self._done.wait(timeout):
-            raise TimeoutError("query request did not complete in time")
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
+        try:
+            return self._future.result(timeout)
+        except TimeoutError:
+            if self._future.done():  # the request itself failed with a timeout
+                raise
+            raise TimeoutError("query request did not complete in time") from None
 
-    def _complete(self, result: np.ndarray) -> None:
-        self.result = result
-        self._done.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self.error = error
-        self._done.set()
+    def _resolve(self, pending: "asyncio.Future[np.ndarray]") -> None:
+        """Copy the front end's outcome across threads (runs on the loop)."""
+        if pending.cancelled():
+            self._future.cancel()
+        elif pending.exception() is not None:
+            self._future.set_exception(pending.exception())
+        else:
+            self._future.set_result(pending.result())
 
 
 class QueryServer:
-    """Batching, cache-fronted, hot-swappable distance query server.
+    """Blocking facade over an :class:`~repro.serving.aio.AsyncQueryFrontend`.
 
     Parameters
     ----------
@@ -163,10 +111,10 @@ class QueryServer:
     max_batch_size:
         Maximum pairs coalesced into one engine call.
     batch_timeout:
-        Seconds the worker waits for more requests before dispatching a
+        Seconds the batcher waits for more requests before dispatching a
         partial batch (the latency/throughput knob).
     max_pending:
-        Admission-control bound on queued requests.
+        Admission-control bound on admitted, unfinished requests.
     tracer:
         :class:`~repro.serving.tracing.TraceRecorder` collecting per-request
         traces (default: a fresh recorder).  Pass a
@@ -177,7 +125,8 @@ class QueryServer:
         lifecycle events (``server_start`` / ``server_stop``).
 
     Use as a context manager (``with QueryServer(engine) as server: ...``) or
-    call :meth:`start` / :meth:`stop` explicitly.
+    call :meth:`start` / :meth:`stop` explicitly.  Mutations and metrics work
+    before :meth:`start`; queries need the running loop.
     """
 
     def __init__(
@@ -192,93 +141,66 @@ class QueryServer:
         tracer: Optional[TraceRecorder] = None,
         logger: Optional[StructuredLogger] = None,
     ) -> None:
-        self._backend = backend
-        self.cache = cache
-        self.tracer = tracer if tracer is not None else TraceRecorder()
+        self._frontend = AsyncQueryFrontend(
+            backend,
+            cache=cache,
+            max_batch_size=max_batch_size,
+            batch_timeout=batch_timeout,
+            max_pending=max_pending,
+            metrics=metrics,
+            tracer=tracer,
+        )
+        self.cache = self._frontend.cache
+        self.metrics = self._frontend.metrics
+        self.tracer = self._frontend.tracer
         self.logger = logger
-        # Cached distances are only valid for one index version; the worker
-        # clears the cache whenever the backing snapshot version changes.
-        manager = self.snapshot_manager
-        self._cache_version = manager.version if manager is not None else None
-        self.max_batch_size = int(max_batch_size)
-        self.batch_timeout = float(batch_timeout)
-        self.max_pending = int(max_pending)
-        self.metrics = metrics if metrics is not None else ServerMetrics()
-        self._queue: "queue.Queue[QueryRequest]" = queue.Queue()
-        # One-to-many fan-outs bypass the batching queue but still count
-        # against max_pending while in flight (guarded by _fanout_lock).
-        self._fanout_lock = threading.Lock()
-        self._fanout_pending = 0
-        self._worker: Optional[threading.Thread] = None
-        self._running = False
-        # Admission flag, dropped *before* the shutdown drain so a client
-        # streaming queries cannot keep the drain from ever finishing.
-        self._accepting = False
-        # Optional observability attachments (owned by the caller, which
-        # starts/stops them): the health engine folds this server's metrics
-        # snapshots into alert states; the shadow canary re-verifies sampled
-        # served batches against the scalar baseline.
-        self.health: Optional[HealthMonitor] = None
-        self.shadow: Optional[ShadowCanary] = None
+        # Guards _loop: a call scheduled while it is set is queued ahead of
+        # the loop's stop, so it always runs and its caller never hangs.
+        self._lock = threading.Lock()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
     def start(self) -> "QueryServer":
-        """Start the worker thread (idempotent)."""
-        if self._running:
-            return self
-        self._running = True
-        self._accepting = True
-        self._worker = threading.Thread(
-            target=self._worker_loop, name="repro-pll-query-worker", daemon=True
-        )
-        self._worker.start()
+        """Start the event-loop thread and the front end on it (idempotent)."""
+        with self._lock:
+            if self._loop is not None:
+                return self
+            loop = asyncio.new_event_loop()
+            self._thread = threading.Thread(
+                target=loop.run_forever, name="repro-pll-query-loop", daemon=True
+            )
+            self._thread.start()
+            self._loop = loop
+        self._run(self._frontend.start)
         if self.logger is not None:
+            frontend = self._frontend
             self.logger.event(
                 "server_start",
-                max_batch_size=self.max_batch_size,
-                batch_timeout=self.batch_timeout,
-                max_pending=self.max_pending,
+                max_batch_size=frontend.max_batch_size,
+                batch_timeout=frontend.batch_timeout,
+                max_pending=frontend.max_pending,
             )
         return self
 
-    def stop(self, *, drain: bool = True) -> None:
-        """Stop the worker; with ``drain`` (default) pending requests finish first.
-
-        New submissions are rejected from the moment ``stop`` begins, so the
-        drain is over a bounded backlog even if clients keep sending.
-        """
-        if not self._running:
+    def stop(self) -> None:
+        """Drain and stop: admitted requests finish, later submissions are rejected."""
+        with self._lock:
+            loop, self._loop = self._loop, None
+            thread = self._thread
+        if loop is None or thread is None:
             return
-        self._accepting = False
-        if drain:
-            self._queue.join()
-        self._running = False
-        if self._worker is not None:
-            self._worker.join(timeout=5.0)
-            self._worker = None
-        self._fail_stragglers()
+        try:
+            asyncio.run_coroutine_threadsafe(self._frontend.stop(), loop).result()
+        finally:
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(timeout=5.0)
+            loop.close()
         if self.logger is not None:
-            self.logger.event(
-                "server_stop", num_queries=self.metrics.num_queries
-            )
-
-    def _fail_stragglers(self) -> None:
-        """Fail anything still queued so no client blocks forever.
-
-        Called from :meth:`stop` and from :meth:`submit` when a request races
-        shutdown (passes the running check, lands on the queue after the
-        final drain) — whichever side runs last sees it.
-        """
-        while True:
-            try:
-                request = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            request._fail(ServingError("server stopped before request was served"))
-            self._queue.task_done()
+            self.logger.event("server_stop", num_queries=self.metrics.num_queries)
 
     def __enter__(self) -> "QueryServer":
         return self.start()
@@ -288,69 +210,81 @@ class QueryServer:
 
     @property
     def running(self) -> bool:
-        """Whether the worker thread is active."""
-        return self._running
+        """Whether the event-loop thread is serving."""
+        with self._lock:
+            return self._loop is not None
+
+    def _run(self, coroutine_function, *args):
+        """Await ``coroutine_function(*args)`` on the loop thread; block for it.
+
+        Raises :class:`~repro.errors.ServingError` when the server is not
+        running, and otherwise whatever the coroutine raised.
+        """
+        with self._lock:
+            if self._loop is None:
+                raise ServingError(NOT_ACCEPTING)
+            future = asyncio.run_coroutine_threadsafe(
+                coroutine_function(*args), self._loop
+            )
+        return future.result()
 
     # ------------------------------------------------------------------ #
     # Client API
     # ------------------------------------------------------------------ #
 
-    def _current_engine(self) -> BatchQueryEngine:
-        if isinstance(self._backend, SnapshotManager):
-            return self._backend.current.engine
-        return self._backend
-
     @property
     def snapshot_manager(self) -> Optional[SnapshotManager]:
-        """The backing snapshot manager, when hot swap is enabled.
+        """The backing snapshot manager, when hot swap is enabled."""
+        return self._frontend.snapshot_manager
 
-        Found either directly (a manager backend) or through a sharded
-        engine that wraps one — mutations and cache invalidation work the
-        same way in both configurations.
-        """
-        if isinstance(self._backend, SnapshotManager):
-            return self._backend
-        return getattr(self._backend, "snapshot_manager", None)
+    @property
+    def health(self) -> Optional[HealthMonitor]:
+        """Caller-owned health engine whose alerts fold into the metrics."""
+        return self._frontend.health
+
+    @health.setter
+    def health(self, monitor: Optional[HealthMonitor]) -> None:
+        self._frontend.health = monitor
+
+    @property
+    def shadow(self) -> Optional[ShadowCanary]:
+        """Caller-owned shadow canary re-verifying sampled served batches."""
+        return self._frontend.shadow
+
+    @shadow.setter
+    def shadow(self, canary: Optional[ShadowCanary]) -> None:
+        self._frontend.shadow = canary
+
+    async def _admit(self, sources, targets, request: QueryRequest) -> None:
+        self._frontend.submit(sources, targets).add_done_callback(request._resolve)
 
     def submit(
         self, sources: Sequence[int], targets: Sequence[int]
     ) -> QueryRequest:
-        """Enqueue one request of aligned pairs; returns immediately.
+        """Admit one request of aligned pairs; returns without waiting for it.
+
+        Admission runs on the loop thread and its verdict comes back before
+        this returns, so every error below is raised here, synchronously.
 
         Raises
         ------
         AdmissionError
-            When the pending queue is at ``max_pending``.
+            When ``max_pending`` requests are already admitted.
         ServingError
-            When the server has not been started.
+            When the server is not running.
         VertexError
-            When a vertex id is out of range.  Validated here, at submission,
-            so one malformed request can never fail the unrelated requests it
+            When a vertex id is out of range.  Validated at submission, so
+            one malformed request can never fail the unrelated requests it
             would have been batched with.
+        ValueError
+            When ``sources`` and ``targets`` differ in length.
         """
-        if not self._accepting:
-            raise ServingError("server is not accepting requests; call start() first")
-        if self._queue.qsize() >= self.max_pending:
-            self.metrics.observe_rejection()
-            raise AdmissionError(
-                f"request rejected: {self.max_pending} requests already pending"
-            )
-        source_array = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        target_array = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-        num_vertices = self._current_engine().num_vertices
-        validate_vertex_ids(source_array, num_vertices)
-        validate_vertex_ids(target_array, num_vertices)
-        request = QueryRequest(source_array, target_array)
-        # Trace id minted at admission: the request is correlatable from the
-        # moment it exists, before it ever touches the batching queue.
-        request.trace = self.tracer.start(len(request))
-        self._queue.put(request)
-        if not self._running:
-            self._fail_stragglers()
+        request = QueryRequest()
+        self._run(self._admit, sources, targets, request)
         return request
 
     def submit_pairs(self, pairs: Iterable[Tuple[int, int]]) -> QueryRequest:
-        """Enqueue one request built from ``(s, t)`` tuples."""
+        """Admit one request built from ``(s, t)`` tuples."""
         pair_array = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
         return self.submit(pair_array[:, 0], pair_array[:, 1])
 
@@ -372,411 +306,71 @@ class QueryServer:
     ) -> np.ndarray:
         """Distances from ``source`` to ``targets`` (all vertices when ``None``).
 
-        Dispatched synchronously on the calling thread rather than through
-        the pair-batching queue: one fan-out amortises its own kernel call,
-        so coalescing it with point pairs would only delay both.  In-flight
-        fan-outs still count against ``max_pending`` so they meet the same
-        admission gate as queued pair requests.  Traced, histogrammed and
-        counted like a one-request batch, labelled with the ``one_to_many``
-        verb.
-
-        Raises
-        ------
-        AdmissionError
-            When ``max_pending`` requests (queued pairs plus in-flight
-            fan-outs) are already admitted.
+        One engine fan-out outside the pair batcher, admitted against
+        ``max_pending`` like a pair request; see
+        :meth:`AsyncQueryFrontend.query_one_to_many`.
         """
-        if not self._accepting:
-            raise ServingError("server is not accepting requests; call start() first")
-        with self._fanout_lock:
-            if self._queue.qsize() + self._fanout_pending >= self.max_pending:
-                admit = False
-            else:
-                admit = True
-                self._fanout_pending += 1
-        if not admit:
-            self.metrics.observe_rejection()
-            raise AdmissionError(
-                f"request rejected: {self.max_pending} requests already pending"
-            )
-        try:
-            start = time.perf_counter()
-            want_spans = self.tracer.enabled or self.metrics.has_histograms
-            spans = [] if want_spans else None
-            engine = self._current_engine_and_invalidate()
-            trace = self.tracer.start(
-                len(targets) if targets is not None else engine.num_vertices
-            )
-            try:
-                distances = engine.query_one_to_many(source, targets, span_sink=spans)
-            except Exception:
-                self.metrics.observe_error()
-                self.tracer.record(trace, time.perf_counter() - start, status="error")
-                raise
-        finally:
-            with self._fanout_lock:
-                self._fanout_pending -= 1
-        elapsed = time.perf_counter() - start
-        num_pairs = int(distances.shape[0])
-        self.metrics.observe_batch(num_pairs, 1, elapsed, request_latencies=[elapsed])
-        self.metrics.observe_verb(VERB_ONE_TO_MANY, num_pairs)
-        self.metrics.observe_kernel_op(
-            getattr(engine, "kernel_name", "unknown"), "query_one_to_many", num_pairs
-        )
-        if spans:
-            if trace is not None:
-                trace.extend(spans)
-                self.tracer.record(trace, elapsed)
-            kernel_seconds = [span.seconds for span in spans if span.name == "kernel"]
-            if self.metrics.has_histograms and kernel_seconds:
-                self.metrics.observe_stages({"kernel": kernel_seconds})
-        return distances
-
-    def _metrics_kwargs(self) -> dict:
-        manager = self.snapshot_manager
-        return dict(
-            cache_stats=self.cache.stats if self.cache is not None else None,
-            snapshot_version=manager.version if manager is not None else None,
-            queue_depth=self._queue.qsize(),
-        )
+        return self._run(self._frontend.query_one_to_many, source, targets)
 
     def metrics_snapshot(self) -> dict:
-        """Serving statistics including cache, snapshot version and queue depth.
-
-        When a health monitor / shadow canary is attached, their gauges and
-        counters (``alerts_firing``, ``shadow_mismatches_total``, ...) ride
-        the same snapshot — one dictionary feeds every rendering.
-        """
-        stats = self.metrics.snapshot(**self._metrics_kwargs())
-        return augment_snapshot(stats, health=self.health, shadow=self.shadow)
+        """Serving statistics (see :meth:`AsyncQueryFrontend.metrics_snapshot`)."""
+        return self._frontend.metrics_snapshot()
 
     def metrics_json(self) -> str:
         """Single-line JSON metrics (the ``stats json`` wire reply)."""
-        return json.dumps(self.metrics_snapshot(), sort_keys=True)
+        return self._frontend.metrics_json()
 
     def traces_json(self, *, limit: Optional[int] = 32) -> str:
         """Single-line JSON trace dump (the ``TRACES`` wire reply)."""
-        return json.dumps(self.tracer.snapshot(limit=limit), sort_keys=True)
+        return self._frontend.traces_json(limit=limit)
 
     def alerts_json(self) -> str:
         """Single-line JSON health report (the ``ALERTS`` wire reply)."""
-        return alerts_wire_reply(self.health)
+        return self._frontend.alerts_json()
 
     # ------------------------------------------------------------------ #
-    # Mutations (hot-swap write path)
+    # Mutations (hot-swap write path), applied on the calling thread
     # ------------------------------------------------------------------ #
-
-    def _require_manager(self) -> SnapshotManager:
-        manager = self.snapshot_manager
-        if manager is None:
-            raise ServingError(
-                "mutations require a snapshot-manager backend; this server "
-                "wraps a bare engine"
-            )
-        return manager
 
     def insert_edge(self, a: int, b: int) -> None:
         """Apply one edge insertion to the backing shadow index (not yet published)."""
-        self._require_manager().insert_edge(a, b)
+        self._frontend._require_manager().insert_edge(a, b)
 
     def remove_edge(self, a: int, b: int) -> None:
         """Apply one edge deletion to the backing shadow index (not yet published)."""
-        self._require_manager().remove_edge(a, b)
+        self._frontend._require_manager().remove_edge(a, b)
 
     def publish(self):
         """Publish pending mutations as a new snapshot; readers swap atomically."""
-        return self._require_manager().publish()
+        return self._frontend._require_manager().publish()
 
     def apply_mutation(
         self, op: str, endpoints: Optional[Tuple[int, int]] = None
     ) -> str:
         """Apply one parsed mutation (``add`` / ``remove`` / ``publish``).
 
-        The shared dispatch behind the live protocol's mutation lines and
-        ``--mutations`` file replay.  Returns a one-line human-readable
-        acknowledgement.
+        Returns the one-line acknowledgement the wire protocol replies with.
         """
-        if op == OP_PUBLISH:
-            snapshot = self.publish()
-            return format_publish_ack(snapshot.version)
-        if endpoints is None:
-            raise ValueError(f"mutation {op!r} requires edge endpoints")
-        a, b = endpoints
-        if op == OP_ADD:
-            self.insert_edge(a, b)
-        elif op == OP_REMOVE:
-            self.remove_edge(a, b)
-        else:
-            raise ValueError(f"unknown mutation {op!r}")
-        pending = self._require_manager().pending_updates
-        return format_mutation_ack(op, a, b, pending)
-
-    # ------------------------------------------------------------------ #
-    # Worker
-    # ------------------------------------------------------------------ #
-
-    def _gather_batch(self) -> list:
-        """Block for the first request, then coalesce more until size/timeout."""
-        try:
-            first = self._queue.get(timeout=0.05)
-        except queue.Empty:
-            return []
-        first.dequeued = time.perf_counter()
-        batch = [first]
-        gathered = len(first)
-        deadline = first.dequeued + self.batch_timeout
-        while gathered < self.max_batch_size:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            try:
-                request = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            request.dequeued = time.perf_counter()
-            batch.append(request)
-            gathered += len(request)
-        return batch
-
-    def _current_engine_and_invalidate(self) -> BatchQueryEngine:
-        """One snapshot grab per batch: engine and cache-invalidation version
-        always belong together, so a concurrent swap can never skew them.
-
-        With a sharded-engine backend the engine resolves the generation
-        itself per batch; the version check here only drives cache
-        invalidation (a publish landing between the check and the shard
-        dispatch is flushed on the next batch).
-        """
-        manager = self.snapshot_manager
-        if manager is None:
-            return self._backend
-        snapshot = manager.current
-        if self.cache is not None and snapshot.version != self._cache_version:
-            self.cache.clear()
-            self._cache_version = snapshot.version
-        if isinstance(self._backend, SnapshotManager):
-            return snapshot.engine
-        return self._backend
-
-    def _evaluate(
-        self,
-        engine: BatchQueryEngine,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        span_sink=None,
-    ) -> np.ndarray:
-        return cached_query_batch(
-            engine, self.cache, sources, targets, span_sink=span_sink
-        )
-
-    def _trace_batch(
-        self, batch: list, batch_spans, start: float, eval_done: float, completed: float
-    ) -> None:
-        """Stitch the batch-shared spans into every request trace and file them.
-
-        Each request gets its own ``queue``/``batch``/``reply`` spans (those
-        durations differ per request) plus the *shared* cache-probe and
-        kernel/shard span objects — every request in the batch rode the same
-        engine call, so they share those spans by construction.  The same
-        stage durations feed the per-stage histograms in one call.
-        """
-        num_pairs = sum(len(request) for request in batch)
-        reply_seconds = completed - eval_done
-        stage_queue = []
-        stage_batch = []
-        for request in batch:
-            queue_wait = max(request.dequeued - request.created, 0.0)
-            coalesce = max(start - request.dequeued, 0.0)
-            stage_queue.append(queue_wait)
-            stage_batch.append(coalesce)
-            trace = request.trace
-            if trace is not None:
-                trace.add_span("queue", queue_wait)
-                trace.add_span(
-                    "batch",
-                    coalesce,
-                    batch_pairs=num_pairs,
-                    batch_requests=len(batch),
-                )
-                trace.extend(batch_spans)
-                trace.add_span("reply", reply_seconds)
-                self.tracer.record(trace, completed - request.created)
-        if self.metrics.has_histograms:
-            stages = {"queue": stage_queue, "batch": stage_batch}
-            kernel_seconds = [
-                span.seconds for span in batch_spans if span.name in ("kernel", "shard")
-            ]
-            probe_seconds = [
-                span.seconds for span in batch_spans if span.name == "cache_probe"
-            ]
-            if kernel_seconds:
-                stages["kernel"] = kernel_seconds
-            if probe_seconds:
-                stages["cache_probe"] = probe_seconds
-            self.metrics.observe_stages(stages)
-
-    def _process_batch(self, batch: list) -> None:
-        start = time.perf_counter()
-        # One span list for the whole batch: the cache probe and engine
-        # evaluation happen once per batch, so their spans are shared by
-        # every request trace in it.  Skipped entirely when neither tracing
-        # nor stage histograms want the data.
-        want_spans = self.tracer.enabled or self.metrics.has_histograms
-        batch_spans = [] if want_spans else None
-        try:
-            engine = self._current_engine_and_invalidate()
-            sources = np.concatenate([request.sources for request in batch])
-            targets = np.concatenate([request.targets for request in batch])
-            distances = self._evaluate(engine, sources, targets, batch_spans)
-        except Exception:
-            # Retry each request alone so one poisoned or oversized request
-            # (e.g. ids stale after a hot swap to a smaller index) cannot
-            # fail the unrelated requests it was coalesced with.
-            succeeded = []
-            for request in batch:
-                try:
-                    request._complete(
-                        self._evaluate(
-                            self._current_engine_and_invalidate(),
-                            request.sources,
-                            request.targets,
-                        )
-                    )
-                    succeeded.append(request)
-                except Exception as single_exc:
-                    request._fail(single_exc)
-                    self.metrics.observe_error()
-                    self.tracer.record(
-                        request.trace,
-                        time.perf_counter() - request.created,
-                        status="error",
-                    )
-            if succeeded:
-                completed = time.perf_counter()
-                num_pairs = sum(len(request) for request in succeeded)
-                self.metrics.observe_batch(
-                    num_pairs,
-                    len(succeeded),
-                    completed - start,
-                    request_latencies=[
-                        completed - request.created for request in succeeded
-                    ],
-                )
-                self._count_pair_queries(num_pairs)
-                for request in succeeded:
-                    self.tracer.record(
-                        request.trace, completed - request.created, status="retried"
-                    )
-            return
-        finally:
-            for _ in batch:
-                self._queue.task_done()
-        eval_done = time.perf_counter()
-        offset = 0
-        for request in batch:
-            request._complete(distances[offset: offset + len(request)])
-            offset += len(request)
-        completed = time.perf_counter()
-        self.metrics.observe_batch(
-            int(sources.shape[0]),
-            len(batch),
-            completed - start,
-            request_latencies=[completed - request.created for request in batch],
-        )
-        self._count_pair_queries(int(sources.shape[0]))
-        shadow = self.shadow
-        if shadow is not None:
-            # After the requests completed: sampling must never sit between
-            # the kernel and the reply.  The canary copies the arrays.
-            shadow.maybe_submit(engine, sources, targets, distances)
-        if want_spans:
-            self._trace_batch(batch, batch_spans, start, eval_done, completed)
-
-    def _count_pair_queries(self, num_pairs: int) -> None:
-        """Stamp per-verb and per-kernel-op counters for one pair batch."""
-        self.metrics.observe_verb(VERB_PAIR, num_pairs)
-        self.metrics.observe_kernel_op(
-            getattr(self._current_engine(), "kernel_name", "unknown"),
-            "query_pairs",
-            num_pairs,
-        )
-
-    def _worker_loop(self) -> None:
-        while self._running:
-            try:
-                batch = self._gather_batch()
-                if batch:
-                    self._process_batch(batch)
-            except Exception:  # pragma: no cover - last-resort worker guard
-                # _process_batch handles per-request failures; anything that
-                # still escapes must not kill the worker and wedge the server.
-                continue
+        return self._frontend._apply_mutation_sync(op, endpoints)
 
 
 # ---------------------------------------------------------------------- #
-# Wire protocol
+# Line protocol and replays
 # ---------------------------------------------------------------------- #
 
 
-def _handle_line(server: QueryServer, line: str) -> Optional[str]:
-    """Evaluate one protocol line; returns the reply, or ``None`` to end the session."""
-    stripped = line.strip()
-    if not stripped:
-        return ""
-    command = normalize_command(stripped)
-    if command in QUIT_COMMANDS:
-        return None
-    if command in STATS_COMMANDS:
-        return server.metrics_json()
-    if command == TRACES_COMMAND:
-        return server.traces_json()
-    if command == ALERTS_COMMAND:
-        return server.alerts_json()
-    if is_mutation(stripped):
-        try:
-            op, endpoints = parse_mutation(stripped)
-        except ValueError as exc:
-            return format_parse_error("mutation", stripped, exc)
-        try:
-            return server.apply_mutation(op, endpoints)
-        # ServingError: no writable shadow behind this server; GraphError
-        # covers out-of-range endpoints; IndexBuildError the same from the
-        # dynamic oracle.  All client-attributable, so answer with an error
-        # line instead of killing the session.
-        except (ServingError, GraphError, IndexBuildError) as exc:
-            return format_error(exc)
-    if is_one_to_many(stripped):
-        try:
-            source, targets = parse_one_to_many(stripped)
-        except ValueError as exc:
-            return format_parse_error("query", stripped, exc)
-        try:
-            distances = server.query_one_to_many(source, targets)
-        except (AdmissionError, ServingError, VertexError, TimeoutError) as exc:
-            return format_error(exc)
-        return format_one_to_many_reply(source, targets, distances)
-    try:
-        s, t = parse_pair(stripped)
-    except ValueError as exc:
-        return format_parse_error("query", stripped, exc)
-    try:
-        distance = server.distance(s, t)
-    # ServingError covers a stopping server and TimeoutError a saturated one
-    # — client-attributable failures answer with a protocol error line, never
-    # a traceback that kills the session.  Genuine engine bugs still raise.
-    except (AdmissionError, ServingError, VertexError, TimeoutError) as exc:
-        return format_error(exc)
-    return format_distance_line(s, t, distance)
-
-
-def replay_mutations(server: QueryServer, lines: Iterable[str]) -> dict:
+def replay_mutations(
+    server: Union[QueryServer, AsyncQueryFrontend], lines: Iterable[str]
+) -> dict:
     """Replay a mixed insert/delete stream against a server's shadow index.
 
-    ``lines`` holds one mutation per line in the shared protocol vocabulary
-    (``add a b``, ``remove a b``, ``publish``); blank lines and ``#``
-    comments are skipped.  If mutations remain unpublished after the last
-    line, a final publish makes them visible — a replayed file always leaves
-    the serving snapshot caught up with the stream.
+    ``server`` is a :class:`QueryServer` or an
+    :class:`~repro.serving.aio.AsyncQueryFrontend`; neither needs to be
+    started.  ``lines`` holds one mutation per line in the shared protocol
+    vocabulary (``add a b``, ``remove a b``, ``publish``); blank lines and
+    ``#`` comments are skipped.  If mutations remain unpublished after the
+    last line, a final publish makes them visible — a replayed file always
+    leaves the serving snapshot caught up with the stream.
 
     Returns a counter dict (``added`` / ``removed`` / ``published``).
 
@@ -787,6 +381,7 @@ def replay_mutations(server: QueryServer, lines: Iterable[str]) -> dict:
     ServingError
         When the server has no writable snapshot-manager backend.
     """
+    frontend = server._frontend if isinstance(server, QueryServer) else server
     counts = {"added": 0, "removed": 0, "published": 0}
     for line_number, raw in enumerate(lines, start=1):
         stripped = raw.strip()
@@ -796,16 +391,16 @@ def replay_mutations(server: QueryServer, lines: Iterable[str]) -> dict:
             op, endpoints = parse_mutation(stripped)
         except ValueError as exc:
             raise ValueError(f"mutations line {line_number}: {exc}") from None
-        server.apply_mutation(op, endpoints)
+        frontend._apply_mutation_sync(op, endpoints)
         if op == OP_ADD:
             counts["added"] += 1
         elif op == OP_REMOVE:
             counts["removed"] += 1
         else:
             counts["published"] += 1
-    manager = server.snapshot_manager
+    manager = frontend.snapshot_manager
     if manager is not None and manager.pending_updates > 0:
-        server.apply_mutation(OP_PUBLISH)
+        frontend._apply_mutation_sync(OP_PUBLISH, None)
         counts["published"] += 1
     return counts
 
@@ -879,7 +474,9 @@ def serve_stdio(
 ) -> int:
     """Serve the line protocol over text streams until EOF or ``QUIT``.
 
-    Returns the number of protocol lines handled.  Used by
+    Each line goes through the front end's protocol handler on the server's
+    loop; a server that is not running answers every line with an error
+    line.  Returns the number of protocol lines handled.  Used by
     ``repro-pll serve`` when no ``--port`` is given, and directly testable
     with ``io.StringIO``.
     """
@@ -887,47 +484,13 @@ def serve_stdio(
     out_stream = out_stream if out_stream is not None else sys.stdout
     handled = 0
     for line in in_stream:
-        reply = _handle_line(server, line)
+        try:
+            reply = server._run(server._frontend._handle_line, line)
+        except ServingError as exc:
+            reply = format_error(exc)
         if reply is None:
             break
         handled += 1
         if reply:
             print(reply, file=out_stream, flush=True)
     return handled
-
-
-class _LineProtocolHandler(socketserver.StreamRequestHandler):
-    """One TCP connection speaking the line protocol."""
-
-    def handle(self) -> None:  # pragma: no cover - exercised via serve_tcp tests
-        while True:
-            raw = self.rfile.readline()
-            if not raw:
-                break
-            reply = _handle_line(self.server.query_server, raw.decode("utf-8", "replace"))
-            if reply is None:
-                break
-            if reply:
-                self.wfile.write((reply + "\n").encode("utf-8"))
-                self.wfile.flush()
-
-
-class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address, query_server: QueryServer) -> None:
-        super().__init__(address, _LineProtocolHandler)
-        self.query_server = query_server
-
-
-def serve_tcp(
-    server: QueryServer, host: str = "127.0.0.1", port: int = 0
-) -> _ThreadedTCPServer:
-    """Bind a threaded TCP front end for ``server`` (not yet serving).
-
-    Returns the bound ``socketserver`` instance; call ``serve_forever()`` on
-    it (blocking) or drive it from a thread.  ``port=0`` binds an ephemeral
-    port, available as ``server_address[1]``.
-    """
-    return _ThreadedTCPServer((host, port), server)

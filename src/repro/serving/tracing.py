@@ -22,7 +22,7 @@ life instead:
   JSON on ``GET /traces``.
 * :class:`StructuredLogger` is the JSON logging helper behind
   ``serve --log-json``: one JSON object per line (timestamp, event name,
-  component, free-form fields), shared by the threaded server, the asyncio
+  component, free-form fields), shared by the blocking facade, the asyncio
   front end, the sharded engine and the CLI so operational events are
   machine-parseable across the whole stack.
 
@@ -269,7 +269,7 @@ class StructuredLogger:
 
     Every event line carries ``ts`` (epoch seconds), ``event`` and
     ``component`` plus the caller's fields, so the whole serving stack —
-    threaded server, asyncio front end, sharded engine, CLI — emits logs a
+    blocking facade, asyncio front end, sharded engine, CLI — emits logs a
     pipeline can parse without per-module regexes.  Writes are serialised
     under a lock (lines from concurrent threads never interleave) and
     non-JSON-serialisable field values degrade to ``repr`` instead of

@@ -253,13 +253,18 @@ class TestServeCommand:
         ]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_serve_async_requires_port(self, index_path, capsys):
-        assert main(["serve", str(index_path), "--async"]) == 2
-        assert "requires --port" in capsys.readouterr().err
+    def test_serve_async_flag_is_accepted_and_changes_nothing(
+        self, index_path, capsys, monkeypatch
+    ):
+        import io
 
-    def test_serve_http_port_requires_async(self, index_path, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 5\nQUIT\n"))
+        assert main(["serve", str(index_path), "--async"]) == 0
+        assert capsys.readouterr().out.startswith("0\t5\t")
+
+    def test_serve_http_port_requires_port(self, index_path, capsys):
         assert main(["serve", str(index_path), "--http-port", "0"]) == 2
-        assert "--async" in capsys.readouterr().err
+        assert "requires --port" in capsys.readouterr().err
 
     def test_serve_warm_requires_cache(self, index_path, tmp_path, capsys):
         warm_path = tmp_path / "warm.txt"

@@ -493,6 +493,30 @@ class TestTracesAndDebugSurface:
         # The wire TRACES command serves the same payload shape.
         assert json.loads(wire[0])["num_recorded"] == 2
 
+    def test_traces_rejects_negative_limit(self, engine):
+        """Regression: ``limit=-N`` used to slice off the N oldest traces and
+        answer 200, like a valid request."""
+
+        async def scenario():
+            frontend = AsyncQueryFrontend(engine)
+            await frontend.start()
+            await frontend.start_http()
+            http_host, http_port = frontend.http_address
+            await frontend.distance(0, 5)
+            await frontend.distance(1, 7)
+            negative = await _http_request(
+                http_host, http_port, "GET", "/traces?limit=-1"
+            )
+            zero = await _http_request(http_host, http_port, "GET", "/traces?limit=0")
+            await frontend.stop()
+            return negative, zero
+
+        (status, body), (zero_status, zero_body) = run(scenario())
+        assert status == 400
+        assert "non-negative" in json.loads(body)["error"]
+        assert zero_status == 200
+        assert json.loads(zero_body)["recent"] == []
+
     def test_sharded_query_trace_stitches_worker_spans(self, small_social_graph):
         """The acceptance path: a query answered by the multi-process engine
         leaves one trace showing queue, batch and per-worker shard spans."""

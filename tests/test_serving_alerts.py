@@ -5,12 +5,14 @@ histogram snapshots through a :class:`HealthMonitor` attached to a *real*
 front end, then watch the ``pending → firing → resolved`` lifecycle surface
 everywhere the tentpole promises: the ``/metrics`` exposition (``ALERTS``
 series + rollup gauges), the ``/alerts`` report, and the ``ALERTS`` wire verb
-— on both the threaded and the asyncio front ends.
+— through the blocking ``QueryServer`` facade (stdio) and the asyncio front
+end's TCP/HTTP surfaces.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 
 import numpy as np
@@ -27,10 +29,17 @@ from repro.serving import (
     ShadowCanary,
     alerts_wire_reply,
     default_alert_rules,
+    serve_stdio,
 )
 from repro.serving.alerts import augment_snapshot
 from repro.serving.metrics import DEFAULT_LATENCY_BUCKETS, render_prometheus_text
-from repro.serving.server import _handle_line
+
+
+def _wire(server, line):
+    """One protocol line through the server's stdio session; the reply."""
+    out_stream = io.StringIO()
+    serve_stdio(server, io.StringIO(line + "\n"), out_stream)
+    return out_stream.getvalue().rstrip("\n")
 
 
 @pytest.fixture
@@ -269,7 +278,8 @@ class TestShadowCanary:
 class TestThreadedServerIntegration:
     def test_slo_breach_lifecycle_on_all_surfaces(self, engine):
         """pending → firing → resolved visible on /metrics text, the alerts
-        report, and the ALERTS wire verb of the threaded server."""
+        report, and the ALERTS wire verb of the blocking server's stdio
+        session."""
         script = _SLOBreachScript()
         with QueryServer(engine) as server:
             server.health = script.monitor
@@ -284,7 +294,7 @@ class TestThreadedServerIntegration:
                 'ALERTS{alertname="LatencySLOBurnRate",severity="page"'
                 ',alertstate="pending"} 1' in text
             )
-            payload = json.loads(_handle_line(server, "ALERTS"))
+            payload = json.loads(_wire(server, "ALERTS"))
             assert payload["enabled"] is True
             assert [a["alertname"] for a in payload["pending"]] == [
                 "LatencySLOBurnRate"
@@ -300,7 +310,7 @@ class TestThreadedServerIntegration:
                 ',alertstate="firing"} 1' in text
             )
             # Command normalisation: the verb is case-insensitive like STATS.
-            payload = json.loads(_handle_line(server, "alerts"))
+            payload = json.loads(_wire(server, "alerts"))
             assert [a["alertname"] for a in payload["firing"]] == [
                 "LatencySLOBurnRate"
             ]
@@ -310,7 +320,7 @@ class TestThreadedServerIntegration:
             assert stats["alerts_firing"] == 0.0 and stats["alerts_pending"] == 0.0
             assert "alerts" not in stats
             assert "ALERTS{" not in render_prometheus_text(stats)
-            payload = json.loads(_handle_line(server, "ALERTS"))
+            payload = json.loads(_wire(server, "ALERTS"))
             assert payload["firing"] == [] and payload["pending"] == []
             assert [r["alertname"] for r in payload["recent"]] == [
                 "LatencySLOBurnRate"
@@ -318,7 +328,7 @@ class TestThreadedServerIntegration:
 
     def test_wire_verb_without_monitor_reports_disabled(self, engine):
         with QueryServer(engine) as server:
-            payload = json.loads(_handle_line(server, "ALERTS"))
+            payload = json.loads(_wire(server, "ALERTS"))
         assert payload["enabled"] is False
 
     def test_forced_canary_on_served_batch_verifies_clean(self, engine):
@@ -329,8 +339,8 @@ class TestThreadedServerIntegration:
         with QueryServer(engine, max_batch_size=4) as server:
             server.shadow = shadow
             server.submit(sources, targets).wait(30)
-        # The reply future resolves before the batch worker reaches the
-        # shadow hook; the context exit joins the worker first.
+        # The reply future resolves before the batcher reaches the shadow
+        # hook; the context exit drains the batcher first.
         shadow.flush()
         stats = shadow.stats()
         shadow.stop()
@@ -396,8 +406,8 @@ class TestThreadedServerIntegration:
 
 class TestAsyncFrontendIntegration:
     def test_slo_breach_lifecycle_on_all_surfaces(self, engine):
-        """Same injected breach as the threaded test, surfaced through the
-        asyncio front end: HTTP /metrics, HTTP /alerts, and the wire verb."""
+        """Same injected breach as the blocking-server test, surfaced through
+        the asyncio front end: HTTP /metrics, HTTP /alerts, and the wire verb."""
         script = _SLOBreachScript()
 
         async def scenario():

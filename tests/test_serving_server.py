@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import json
-import socket
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from repro.serving import (
     QueryServer,
     SnapshotManager,
     serve_stdio,
-    serve_tcp,
 )
 
 
@@ -26,6 +25,22 @@ from repro.serving import (
 def engine(small_social_graph):
     index = PrunedLandmarkLabeling(num_bit_parallel_roots=2).build(small_social_graph)
     return BatchQueryEngine(index)
+
+
+class _GatedEngine:
+    """An engine whose pair batches wait for :attr:`release` — requests stay
+    admitted (pending) until the test lets the batch through."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def query_batch(self, *args, **kwargs):
+        assert self.release.wait(10), "gated batch never released"
+        return self._engine.query_batch(*args, **kwargs)
 
 
 class TestQueryServer:
@@ -66,18 +81,34 @@ class TestQueryServer:
             assert server.distance(0, 5) == engine.index.distance(0, 5)
 
     def test_admission_control_rejects_when_full(self, engine):
-        server = QueryServer(engine, max_pending=2)
-        server._running = True  # worker intentionally not started
-        server._accepting = True
-        try:
-            server.submit([0], [1])
-            server.submit([1], [2])
-            with pytest.raises(AdmissionError):
-                server.submit([2], [3])
-            assert server.metrics_snapshot()["num_rejected"] == 1
-        finally:
-            server._running = False
-            server._accepting = False
+        gated = _GatedEngine(engine)
+        with QueryServer(gated, max_pending=2) as server:
+            try:
+                first = server.submit([0], [1])
+                second = server.submit([1], [2])
+                with pytest.raises(AdmissionError):
+                    server.submit([2], [3])
+                assert server.metrics_snapshot()["num_rejected"] == 1
+            finally:
+                gated.release.set()
+            assert first.wait(10)[0] == engine.index.distance(0, 1)
+            assert second.wait(10)[0] == engine.index.distance(1, 2)
+
+    def test_misaligned_request_rejected_at_submit(self, engine):
+        """Regression: coalesced into one batch, a request with more sources
+        than targets used to be answered with pairs built from its
+        neighbours' ids."""
+        with QueryServer(engine, batch_timeout=0.05) as server:
+            good = server.submit([0, 1], [5, 6])
+            with pytest.raises(ValueError, match="same length"):
+                server.submit([1, 2], [3])
+            with pytest.raises(ValueError, match="same length"):
+                server.submit([4], [5, 6])
+            also_good = server.submit([2], [7])
+            assert np.array_equal(
+                good.wait(10), engine.index.distance_batch([0, 1], [5, 6])
+            )
+            assert also_good.wait(10)[0] == engine.index.distance(2, 7)
 
     def test_cache_integration(self, engine):
         cache = LRUCache(64)
@@ -188,31 +219,6 @@ class TestWireProtocol:
             handled = serve_stdio(server, io.StringIO("0 5\n"), out_stream)
         assert handled == 1
         assert out_stream.getvalue().count("\t") == 2
-
-    def test_tcp_round_trip(self, engine):
-        with QueryServer(engine) as server:
-            tcp = serve_tcp(server, "127.0.0.1", 0)
-            import threading
-
-            thread = threading.Thread(target=tcp.serve_forever, daemon=True)
-            thread.start()
-            try:
-                host, port = tcp.server_address[:2]
-                with socket.create_connection((host, port), timeout=10) as conn:
-                    conn.sendall(b"0 5\nSTATS\nQUIT\n")
-                    conn.settimeout(10)
-                    data = b""
-                    while b"\n" not in data.partition(b"\n")[2]:
-                        chunk = conn.recv(4096)
-                        if not chunk:
-                            break
-                        data += chunk
-                replies = data.decode().splitlines()
-                assert replies[0].startswith("0\t5\t")
-                assert json.loads(replies[1])["num_queries"] >= 1
-            finally:
-                tcp.shutdown()
-                tcp.server_close()
 
 
 class TestMutationProtocol:
@@ -561,22 +567,22 @@ class TestOneToManyProtocol:
 
     def test_one_to_many_admission_control(self, engine):
         """Fan-outs share the max_pending budget instead of bypassing it."""
-        server = QueryServer(engine, max_pending=1)
-        server._running = True  # worker intentionally not started
-        server._accepting = True
-        try:
-            server.submit([0], [1])  # saturates the pending budget
-            with pytest.raises(AdmissionError):
-                server.query_one_to_many(0, [1, 2, 3])
-            assert server.metrics_snapshot()["num_rejected"] == 1
-        finally:
-            server._fail_stragglers()
-            server._running = False
-            server._accepting = False
+        gated = _GatedEngine(engine)
+        with QueryServer(gated, max_pending=1) as server:
+            try:
+                pending = server.submit([0], [1])  # saturates the pending budget
+                with pytest.raises(AdmissionError):
+                    server.query_one_to_many(0, [1, 2, 3])
+                assert server.metrics_snapshot()["num_rejected"] == 1
+            finally:
+                gated.release.set()
+            assert pending.wait(10)[0] == engine.index.distance(0, 1)
 
     def test_one_to_many_admitted_below_limit(self, engine):
         with QueryServer(engine, max_pending=1) as server:
             distances = server.query_one_to_many(0, [1, 2])
             assert distances.shape == (2,)
-            assert server._fanout_pending == 0
-            assert server.metrics_snapshot()["num_rejected"] == 0
+            stats = server.metrics_snapshot()
+            # The fan-out released its admission slot when it finished.
+            assert stats["queue_depth"] == 0
+            assert stats["num_rejected"] == 0
