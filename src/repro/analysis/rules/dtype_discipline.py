@@ -18,8 +18,8 @@ auditing call sites.  Dtype-preserving constructors (``zeros_like``,
 Scope: ``src/repro/core/`` and ``src/repro/serving/`` — experiments and
 benchmarks may allocate however they like.  ``src/repro/core/kernels/`` is
 covered by the ``core/`` prefix and is where the rule matters most: the
-narrow kernel layout stakes its memory win on uint32/uint8 arrays, so one
-implicit float64 temporary there costs 8x the bytes it should.
+batch kernel stakes its memory win on uint32 keys and uint16 sums, so one
+implicit float64 temporary there costs 4x the bytes it should.
 """
 
 from __future__ import annotations

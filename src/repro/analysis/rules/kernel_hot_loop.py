@@ -6,7 +6,7 @@ A list/dict/set comprehension inside ``query_pairs`` /
 ``query_one_to_many`` / ``rooted_probe`` re-introduces exactly that cost:
 one Python object per pair (or per label entry), allocated on every batch,
 invisible in profiles until the batch size grows.  Those bodies must stay
-vectorised — numpy ufuncs over whole arrays, or a jitted loop.
+vectorised: numpy ufuncs over whole arrays.
 
 Flagged: ``ListComp`` / ``SetComp`` / ``DictComp`` nodes anywhere inside a
 function (sync or async) named ``query_pairs``, ``query_one_to_many`` or
@@ -14,8 +14,8 @@ function (sync or async) named ``query_pairs``, ``query_one_to_many`` or
 usual offenders (``any``/``all`` guards over a handful of capability flags)
 are not per-pair work.
 
-Scope: ``src/repro/core/kernels/`` and ``src/repro/core/query.py`` — the
-only places those entry points are implemented; wrappers elsewhere (the
+Scope: ``src/repro/core/kernels/`` (the batch kernel) and
+``src/repro/core/query.py`` (the scalar kernels); wrappers elsewhere (the
 serving engine) delegate and may batch however they like.
 """
 

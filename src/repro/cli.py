@@ -203,17 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="target query pairs per worker shard (multi-process mode only)",
     )
     serve.add_argument(
-        "--kernel",
-        choices=["auto", "numpy", "narrow", "numba"],
-        default=None,
-        help=(
-            "batch-kernel backend: auto picks the fastest available "
-            "(numba > narrow > numpy); an explicit name pins it and makes a "
-            "missing backend a startup error instead of a silent fallback "
-            "(overrides the REPRO_KERNEL environment variable)"
-        ),
-    )
-    serve.add_argument(
         "--gc-monitor",
         action="store_true",
         help=(
@@ -455,26 +444,6 @@ def _command_query(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from repro.core.kernels import KernelUnavailableError, set_default_kernel
-
-    if args.kernel is None:
-        return _run_serve_command(args)
-    # Pin the batch-kernel preference for the whole serve lifetime, then put
-    # it back: tests drive main() in-process, so the module-level preference
-    # must not leak across calls.  An explicit backend name is strict — a
-    # host without that backend is a startup error, not a silent fallback.
-    try:
-        previous = set_default_kernel(args.kernel, strict=args.kernel != "auto")
-    except KernelUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _run_serve_command(args)
-    finally:
-        set_default_kernel(previous)
-
-
-def _run_serve_command(args: argparse.Namespace) -> int:
     from repro.core.serialization import load_index
     from repro.errors import GraphError, SerializationError
     from repro.graph.io import read_edge_list
@@ -599,7 +568,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         backend = engine if engine is not None else manager
         kernel_info = manager.current.engine.kernel_info()
         if logger is not None:
-            logger.event("kernel_selected", **kernel_info)
+            logger.event("kernel_layout", **kernel_info)
             logger.event(
                 "serve_start",
                 source=source,
@@ -609,14 +578,14 @@ def _run_serve_command(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 writable=manager.writable,
                 slow_ms=args.slow_ms,
-                kernel=kernel_info["selected"],
+                kernel=kernel_info["name"],
             )
         else:
             print(
                 f"serving {manager.current.engine.num_vertices} vertices from {source} "
                 f"(cache={args.cache_size}, batch={args.batch_size}, "
                 f"workers={args.workers}, writable={manager.writable}, "
-                f"kernel={kernel_info['selected']})",
+                f"kernel={kernel_info['name']})",
                 file=sys.stderr,
             )
         if args.warm is not None:

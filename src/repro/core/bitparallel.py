@@ -130,8 +130,8 @@ class BitParallelLabels:
     ) -> np.ndarray:
         """Distance bounds from ``source`` to many targets in one vectorised pass.
 
-        Companion of :meth:`repro.core.labels.LabelSet.query_one_to_many` for
-        the bit-parallel part of an index.  Returns ``inf`` entries when there
+        Companion of :meth:`repro.core.kernels.BatchQueryKernel.query_one_to_many`
+        for the bit-parallel part of an index.  Returns ``inf`` entries when there
         are no bit-parallel labels.
         """
         if targets is None:

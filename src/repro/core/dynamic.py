@@ -51,7 +51,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from repro.core.index import PrunedLandmarkLabeling
-from repro.core.kernels import select_kernel
+from repro.core.kernels import rooted_probe
 from repro.core.labels import LabelSet
 from repro.core.query import BatchQueryKernel
 from repro.core.storage import ArrayBackend
@@ -148,10 +148,6 @@ class DynamicPrunedLandmarkLabeling:
         self._temp_np = np.full(n, _TEMP_INF, dtype=np.int64)
         self._attached_root: Optional[int] = None
         self._np_touched: Optional[np.ndarray] = None
-        # Kernel backend class for the batched rooted probes of the repair
-        # path; re-selected per build so the process preference (``--kernel``
-        # / ``REPRO_KERNEL``) applies to mutations too.
-        self._probe_kernel = select_kernel()
         return self
 
     @property
@@ -276,10 +272,9 @@ class DynamicPrunedLandmarkLabeling:
         )
         starts = np.zeros(count, dtype=np.int64)
         np.cumsum(sizes[:-1], out=starts[1:])
-        # The segmented minimum itself runs on the selected kernel backend
-        # (numpy baseline, or the compiled loop when numba is available);
-        # every backend returns exactly _TEMP_INF where no hub qualifies.
-        return self._probe_kernel.rooted_probe(
+        # The batch kernel's segmented minimum returns exactly _TEMP_INF
+        # where no hub qualifies.
+        return rooted_probe(
             flat_hubs, flat_dists, starts, sizes, self._temp_np, max_rank, _TEMP_INF
         )
 

@@ -265,13 +265,21 @@ class PrunedLandmarkLabeling:
         -------
         numpy.ndarray
             ``float64`` exact distances (``inf`` for disconnected pairs).
+
+        Raises
+        ------
+        VertexError
+            If the source or any target is out of ``[0, n)``.
         """
         self._require_built()
+        num_vertices = self._labels.num_vertices
+        if not (0 <= source < num_vertices):
+            raise VertexError(source, num_vertices)
         if targets is not None:
             targets = np.asarray(list(targets), dtype=np.int64)
-        # Routed through the pluggable kernel layer (numpy baseline, narrow
-        # dtypes, or numba JIT — byte-identical); the kernel applies no
-        # source-zeroing, which happens below after the bit-parallel fold.
+            validate_vertex_ids(targets, num_vertices)
+        # The kernel applies no source-zeroing; that happens below, after
+        # the bit-parallel fold.
         normal = self.prepare_batch_kernel().query_one_to_many(source, targets)
         if self._bit_parallel is not None and not self._bit_parallel.empty():
             bp = self._bit_parallel.query_one_to_many(source, targets)
@@ -288,7 +296,9 @@ class PrunedLandmarkLabeling:
         """The ``k`` candidates closest to ``source``, as ``(vertex, distance)`` pairs.
 
         Ties are broken by vertex id; unreachable candidates sort last and are
-        included only if fewer than ``k`` reachable candidates exist.
+        included only if fewer than ``k`` reachable candidates exist.  Raises
+        :class:`~repro.errors.VertexError` for an out-of-range id, as
+        :meth:`distances_from` does.
         """
         self._require_built()
         candidate_array = np.asarray(list(candidates), dtype=np.int64)

@@ -403,81 +403,3 @@ class LabelSet:
             return float("inf"), None
         best = int(sums.argmin())
         return float(sums[best]), int(self._order[hubs[best]])
-
-    def query_many(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Vectorised-ish batch query over a sequence of ``(s, t)`` pairs."""
-        result = np.empty(len(pairs), dtype=np.float64)
-        for i, (s, t) in enumerate(pairs):
-            result[i] = self.query(int(s), int(t))
-        return result
-
-    def query_one_to_many(
-        self, source: int, targets: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Distance bounds from one source to many targets in one vectorised pass.
-
-        This is the query-time analogue of the construction-time "targeted"
-        evaluator (Section 4.5.1): the source's label is scattered into a
-        rank-indexed array once, after which the contribution of *every* label
-        entry of *every* target is evaluated with flat numpy operations.  The
-        amortised cost per target is therefore a few machine operations per
-        label entry, far below the per-call overhead of :meth:`query` — the
-        right tool when one vertex is compared against hundreds of candidates
-        (socially-sensitive search, context ranking, k-nearest analyses).
-
-        Parameters
-        ----------
-        source:
-            The fixed endpoint.
-        targets:
-            Target vertices; ``None`` means all vertices.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``float64`` distances aligned with ``targets`` (``inf`` where no
-            common hub exists).  For a complete index these are exact.
-        """
-        source_hubs, source_dists = self.vertex_label(source)
-        num_ranks = self._order.shape[0]
-        temp = np.full(num_ranks, np.inf, dtype=np.float64)
-        temp[source_hubs] = source_dists
-
-        if targets is None:
-            target_indptr = self._indptr
-            flat_hubs = self._hubs
-            flat_dists = self._dists
-            sizes = np.diff(target_indptr)
-            starts = target_indptr[:-1]
-        else:
-            target_array = np.asarray(list(targets), dtype=np.int64)
-            sizes = (
-                self._indptr[target_array + 1] - self._indptr[target_array]
-            )
-            starts_per_target = self._indptr[target_array]
-            total = int(sizes.sum())
-            gather = np.empty(total, dtype=np.int64)
-            position = 0
-            for start, size in zip(starts_per_target, sizes):
-                gather[position: position + size] = np.arange(start, start + size)
-                position += size
-            flat_hubs = self._hubs[gather]
-            flat_dists = self._dists[gather]
-            starts = np.zeros(sizes.shape[0], dtype=np.int64)
-            np.cumsum(sizes[:-1], out=starts[1:])
-
-        if flat_hubs.shape[0] == 0:
-            return np.full(sizes.shape[0], np.inf, dtype=np.float64)
-
-        contributions = flat_dists.astype(np.float64) + temp[flat_hubs]
-        # Per-target minimum via reduceat.  Empty label segments are excluded
-        # from the index list entirely: clipping their starts into range would
-        # truncate the reduce window of the last non-empty segment (reduceat
-        # windows end at the next index, whatever segment it belongs to).
-        nonempty = sizes > 0
-        minima = np.minimum.reduceat(contributions, starts[nonempty])
-        result = np.full(sizes.shape[0], np.inf, dtype=np.float64)
-        result[np.flatnonzero(nonempty)] = minima
-        if source < result.shape[0] and targets is None:
-            result[source] = 0.0
-        return result

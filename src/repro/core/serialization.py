@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, Collection, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
@@ -40,10 +40,8 @@ from repro._version import __version__
 from repro.core import storage
 from repro.core.bitparallel import BitParallelLabels
 from repro.core.index import PrunedLandmarkLabeling
-from repro.core.kernels import DtypePlan
-from repro.core.kernels.narrow import NARROW_FIELDS
+from repro.core.kernels import FIELD_KERNEL_KEYS, BatchQueryKernel
 from repro.core.labels import LabelSet
-from repro.core.query import FIELD_KERNEL_KEYS, BatchQueryKernel
 from repro.core.storage import MmapBackend, write_raw
 from repro.errors import SerializationError
 
@@ -112,14 +110,7 @@ def index_to_arrays(
         "ordering": index.ordering,
     }
     if include_kernel:
-        kernel = index.prepare_batch_kernel()
-        fields[FIELD_KERNEL_KEYS] = kernel.keys
-        # The narrow-layout arrays and the dtype plan that authorised them
-        # are part of the per-generation layout: attaching processes adopt
-        # the publishing process's narrowing decision instead of
-        # re-measuring (and re-deriving) the index.
-        fields.update(kernel.export_narrow_fields())
-        metadata["kernel_plan"] = kernel.plan.to_meta()
+        fields[FIELD_KERNEL_KEYS] = index.prepare_batch_kernel().keys
     return fields, metadata
 
 
@@ -128,7 +119,6 @@ def index_from_arrays(
     metadata: Dict,
     *,
     has_kernel: bool = False,
-    kernel_fields: Optional[Collection[str]] = None,
     backend=None,
 ) -> PrunedLandmarkLabeling:
     """Reassemble an index from a field lookup (inverse of :func:`index_to_arrays`).
@@ -138,11 +128,9 @@ def index_from_arrays(
     (no copy), so zero-copy sources stay zero-copy.  ``backend`` is attached
     to the label set purely to keep the backing storage alive.
 
-    ``kernel_fields`` names the stored fields actually present (the backend
-    field directory): when the full narrow-layout set rides along, it is
-    handed to the kernel so this process — e.g. a sharded worker attaching a
-    published generation — reuses the stored arrays and the recorded
-    ``kernel_plan`` dtype decision instead of re-deriving either.
+    Fields the layout does not name are never read: files written before the
+    kernel stored one key array still carry five derived ``kernel_*`` arrays
+    and a ``kernel_plan`` record, and load as if they did not.
     """
     labels = LabelSet(
         get("label_indptr"),
@@ -173,15 +161,7 @@ def index_from_arrays(
     index._order = labels.order
     index._graph = None
     if has_kernel:
-        plan_meta = metadata.get("kernel_plan")
-        plan = DtypePlan.from_meta(plan_meta) if plan_meta else None
-        present = set(kernel_fields) if kernel_fields is not None else set()
-        narrow = None
-        if all(name in present for name in NARROW_FIELDS):
-            narrow = {name: get(name) for name in NARROW_FIELDS}
-        index._batch_kernel = BatchQueryKernel.from_arrays(
-            labels, get(FIELD_KERNEL_KEYS), plan=plan, narrow_fields=narrow
-        )
+        index._batch_kernel = BatchQueryKernel.from_arrays(labels, get(FIELD_KERNEL_KEYS))
     return index
 
 
@@ -215,7 +195,6 @@ def index_from_backend(backend) -> PrunedLandmarkLabeling:
         backend.get,
         metadata,
         has_kernel=FIELD_KERNEL_KEYS in backend.fields(),
-        kernel_fields=backend.fields(),
         backend=backend,
     )
 
@@ -321,27 +300,21 @@ def load_index(path: PathLike, *, mmap: bool = False) -> PrunedLandmarkLabeling:
         if _is_raw_file(path):
             backend = MmapBackend(path)
             metadata = _check_format(dict(backend.meta))
+            has_kernel = FIELD_KERNEL_KEYS in backend.fields()
             if mmap:
                 return index_from_arrays(
-                    backend.get,
-                    metadata,
-                    has_kernel=FIELD_KERNEL_KEYS in backend.fields(),
-                    kernel_fields=backend.fields(),
-                    backend=backend,
+                    backend.get, metadata, has_kernel=has_kernel, backend=backend
                 )
-            # Heap load from a raw file: copy the views out (dtype-preserving
-            # — the raw layout's dtypes are the contract), drop the map.
-            arrays = {}
-            for field in backend.fields():
-                view = backend.get(field)
-                arrays[field] = np.array(view, dtype=view.dtype)
-            backend.close()
-            return index_from_arrays(
-                arrays.__getitem__,
-                metadata,
-                has_kernel=FIELD_KERNEL_KEYS in arrays,
-                kernel_fields=arrays.keys(),
-            )
+            # Heap load from a raw file: copy out the views the index reads,
+            # then drop the map.
+            try:
+                return index_from_arrays(
+                    lambda field: backend.get(field).copy(),
+                    metadata,
+                    has_kernel=has_kernel,
+                )
+            finally:
+                backend.close()
         if mmap:
             raise SerializationError(
                 f"{path} is a compressed npz archive, which cannot be "

@@ -60,7 +60,6 @@ INDEX_BIT_PARALLEL_ROOTS = "index_bit_parallel_roots"
 INDEX_DIRTY_VERTICES = "index_dirty_vertices"
 INDEX_NUM_VERTICES = "index_num_vertices"
 GENERATION_BYTES = "generation_bytes"
-KERNEL_FALLBACK = "kernel_fallback"
 KERNEL_NARROW = "kernel_narrow"
 
 PROCESS_RSS_BYTES = "process_rss_bytes"
@@ -158,8 +157,7 @@ METRIC_HELP: Dict[str, str] = {
     INDEX_DIRTY_VERTICES: "Shadow-index vertices dirtied since the last publish.",
     INDEX_NUM_VERTICES: "Vertices covered by the currently served index.",
     GENERATION_BYTES: "Bytes of the shared-memory generation backing the snapshot.",
-    KERNEL_FALLBACK: "1 when the serving kernel backend is a fallback from the requested one.",
-    KERNEL_NARROW: "1 when the served generation uses the narrow (uint32/uint8) kernel layout.",
+    KERNEL_NARROW: "1 when the served batch kernel uses uint32 keys (the narrow layout).",
     PROCESS_RSS_BYTES: "Resident set size of the serving process.",
     PROCESS_OPEN_FDS: "Open file descriptors held by the serving process.",
     GC_COLLECTIONS_TOTAL: "Garbage collections completed (all generations).",

@@ -4,8 +4,8 @@ One :class:`BenchResult` describes one run of one benchmark suite: a list of
 :class:`Metric` records (name, value, unit, direction, repeat samples, an
 optional per-metric tolerance) plus an :class:`EnvFingerprint` capturing the
 environment the numbers were measured in — git sha, interpreter and library
-versions, CPU count, the selected batch-kernel backend and whether the run
-was a reduced-scale smoke configuration.
+versions, CPU count and whether the run was a reduced-scale smoke
+configuration.
 
 The JSON encoding is *pinned*: ``to_json`` always emits sorted keys, two-space
 indentation and a trailing newline, so re-encoding a decoded result is
@@ -122,9 +122,7 @@ class EnvFingerprint:
     git_sha: str
     python: str
     numpy: str
-    numba: Optional[str]
     cpu_count: int
-    kernel: str
     smoke: bool
     timestamp: float
 
@@ -133,23 +131,21 @@ class EnvFingerprint:
             "git_sha": self.git_sha,
             "python": self.python,
             "numpy": self.numpy,
-            "numba": self.numba,
             "cpu_count": self.cpu_count,
-            "kernel": self.kernel,
             "smoke": self.smoke,
             "timestamp": self.timestamp,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "EnvFingerprint":
+        # Older result files also carry ``numba`` and ``kernel`` keys; keys
+        # not read here are ignored, so those files still load.
         try:
             return cls(
                 git_sha=str(payload["git_sha"]),
                 python=str(payload["python"]),
                 numpy=str(payload["numpy"]),
-                numba=None if payload.get("numba") is None else str(payload["numba"]),
                 cpu_count=int(payload["cpu_count"]),  # type: ignore[arg-type]
-                kernel=str(payload["kernel"]),
                 smoke=bool(payload["smoke"]),
                 timestamp=float(payload["timestamp"]),  # type: ignore[arg-type]
             )
@@ -189,33 +185,15 @@ def _git_sha() -> str:
     return sha if completed.returncode == 0 and sha else "unknown"
 
 
-def _selected_kernel() -> str:
-    """Name of the batch-kernel backend the default selection would pick."""
-    try:
-        from repro.core.kernels import select_kernel
-
-        return str(select_kernel().name)
-    except Exception:
-        return "unknown"
-
-
 def collect_fingerprint(*, smoke: bool = False) -> EnvFingerprint:
     """Fingerprint the current environment (best effort, never raises)."""
     import numpy
 
-    try:
-        import numba  # type: ignore[import-not-found]
-
-        numba_version: Optional[str] = str(numba.__version__)
-    except Exception:
-        numba_version = None
     return EnvFingerprint(
         git_sha=_git_sha(),
         python=platform.python_version(),
         numpy=str(numpy.__version__),
-        numba=numba_version,
         cpu_count=os.cpu_count() or 1,
-        kernel=_selected_kernel(),
         smoke=bool(smoke),
         timestamp=time.time(),
     )

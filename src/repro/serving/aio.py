@@ -389,10 +389,7 @@ class AsyncQueryFrontend:
             "alerts": json.loads(self.alerts_json()),
             "traces": self.tracer.snapshot(limit=32),
             "threads": self._debug_threads_text(),
-            "kernel": {
-                "kernel_name": getattr(engine, "kernel_name", "unknown"),
-                "kernel_requested": getattr(engine, "kernel_requested", None),
-            },
+            "kernel": {"kernel_name": getattr(engine, "kernel_name", "unknown")},
         }
         try:
             bundle["index_health"] = index_health_stats(

@@ -125,7 +125,6 @@ class BatchQueryEngine:
         self._stats_window = int(stats_window)
         self._stats = EngineStats()
         self._stats_lock = threading.Lock()
-        self._kernel_name: Optional[str] = None
 
     @property
     def index(self) -> PrunedLandmarkLabeling:
@@ -143,31 +142,19 @@ class BatchQueryEngine:
         return self._stats
 
     def kernel_info(self) -> Dict[str, object]:
-        """How the batch-kernel backend was selected for this engine's index.
+        """The batch kernel's key layout for this engine's index.
 
-        Keys: ``requested`` / ``selected`` / ``fallback`` / ``reason`` (the
-        :class:`~repro.core.kernels.base.KernelSelection` record) plus the
-        per-generation ``narrow`` dtype decision.  Surfaced as a structured
-        log event at serve time and as the ``/metrics`` kernel info gauge.
+        Keys: ``name`` (``"narrow"`` for ``uint32`` keys, else ``"wide"``)
+        and ``narrow``.  Surfaced as a structured log event at serve time and
+        as the ``/metrics`` kernel info gauge.
         """
-        kernel = self._index.prepare_batch_kernel()
-        info = kernel.selection.as_dict()
-        info["narrow"] = kernel.plan.narrow
-        return info
+        name = self.kernel_name
+        return {"name": name, "narrow": name == "narrow"}
 
     @property
     def kernel_name(self) -> str:
-        """Name of the selected batch-kernel backend (cached after first use).
-
-        The cheap label the metrics layer stamps on per-verb kernel-op
-        counters; :meth:`kernel_info` has the full selection record.
-        """
-        if self._kernel_name is None:
-            try:
-                self._kernel_name = str(self.kernel_info().get("selected", "unknown"))
-            except Exception:
-                return "unknown"
-        return self._kernel_name
+        """The batch kernel's layout name, the label of kernel-op counters."""
+        return self._index.prepare_batch_kernel().backend_name
 
     def query(self, s: int, t: int) -> float:
         """Scalar convenience query (same result as ``index.distance``)."""
@@ -223,11 +210,6 @@ class BatchQueryEngine:
         :meth:`query_batch` (each evaluated target counts as one query);
         results are bit-identical to per-pair :meth:`query` calls.
         """
-        num_vertices = self.num_vertices
-        validate_vertex_ids(np.asarray([source], dtype=np.int64), num_vertices)
-        if targets is not None:
-            targets = np.asarray(list(targets), dtype=np.int64)
-            validate_vertex_ids(targets, num_vertices)
         start = time.perf_counter()
         result = self._index.distances_from(source, targets)
         elapsed = time.perf_counter() - start

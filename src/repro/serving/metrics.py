@@ -222,16 +222,12 @@ def render_prometheus_text(
         )
     kernel_name = stats.get("kernel_name")
     if isinstance(kernel_name, str) and kernel_name:
-        requested = stats.get("kernel_requested")
-        labels = f'kernel="{kernel_name}"'
-        if isinstance(requested, str) and requested:
-            labels += f',requested="{requested}"'
         emit(
             f"{prefix}_{names.KERNEL_INFO}",
             1,
             "gauge",
-            "Kernel backend serving batch queries (selected vs requested).",
-            labels="{" + labels + "}",
+            "Key layout of the batch kernel serving queries.",
+            labels=f'{{kernel="{kernel_name}"}}',
         )
     if isinstance(verbs, Mapping) and verbs:
         name = f"{prefix}_{names.VERB_QUERIES_TOTAL}"
@@ -716,10 +712,8 @@ def index_health_stats(engine, manager=None) -> Dict[str, object]:
     * ``index_dirty_vertices`` — shadow vertices dirtied since the last publish,
     * ``generation_name`` / ``generation_bytes`` — identity and size of the
       shared-memory generation backing the snapshot (shared deployments only),
-    * ``kernel_name`` / ``kernel_requested`` / ``kernel_fallback`` /
-      ``kernel_narrow`` — which batch-kernel backend the engine selected,
-      whether that was a fallback from the requested one, and whether the
-      served generation uses the narrow dtype layout.
+    * ``kernel_name`` / ``kernel_narrow`` — the batch kernel's key layout
+      (``"narrow"`` for ``uint32`` keys, else ``"wide"``).
 
     Everything is best-effort ``getattr`` so the helper works against any
     engine shape (and quietly reports less for engines that expose less);
@@ -758,8 +752,6 @@ def index_health_stats(engine, manager=None) -> Dict[str, object]:
         except Exception:
             info = None
         if info:
-            stats["kernel_name"] = str(info.get("selected", ""))
-            stats["kernel_requested"] = str(info.get("requested", ""))
-            stats[names.KERNEL_FALLBACK] = int(bool(info.get("fallback")))
+            stats["kernel_name"] = str(info.get("name", ""))
             stats[names.KERNEL_NARROW] = int(bool(info.get("narrow")))
     return stats

@@ -81,10 +81,6 @@ def _attached_index(generation_name: str) -> PrunedLandmarkLabeling:
     if _ATTACHED.get("name") == generation_name:
         return _ATTACHED["index"]
     backend = SharedMemoryBackend.attach(generation_name)
-    # index_from_backend re-runs kernel-backend selection in *this* process
-    # (adopting the generation's stored dtype plan and narrow arrays), so a
-    # heterogeneous pool — numba importable in some workers only — degrades
-    # per-process to the best backend each worker actually has.
     index = index_from_backend(backend)
     previous = _ATTACHED.pop("backend", None)
     _ATTACHED.pop("index", None)
@@ -262,20 +258,13 @@ class ShardedQueryEngine:
         return self._stats
 
     def kernel_info(self) -> Dict[str, object]:
-        """Kernel-backend selection of the parent's inline engine.
-
-        Workers re-select on attach and may differ per process; this reports
-        the parent-side decision (the one small batches are answered with).
-        """
+        """The batch kernel's key layout (the same in every worker)."""
         return self._current_snapshot().engine.kernel_info()
 
     @property
     def kernel_name(self) -> str:
-        """Name of the parent-side selected kernel backend (metrics label)."""
-        try:
-            return str(self.kernel_info().get("selected", "unknown"))
-        except Exception:
-            return "unknown"
+        """The batch kernel's layout name (metrics label)."""
+        return self._current_snapshot().engine.kernel_name
 
     def worker_seconds(self) -> Dict[int, float]:
         """Cumulative busy seconds per worker pid (copy)."""

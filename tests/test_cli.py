@@ -162,31 +162,11 @@ class TestServeCommand:
         assert main(["serve", str(index_path), "--cache-size", "0"]) == 0
         assert capsys.readouterr().out.startswith("0\t5\t")
 
-    def test_serve_explicit_kernel(self, index_path, capsys, monkeypatch):
-        import io
-
-        from repro.core.kernels import kernel_preference
-
-        monkeypatch.setattr("sys.stdin", io.StringIO("0 5\nQUIT\n"))
-        assert main(["serve", str(index_path), "--kernel", "numpy"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("0\t5\t")
-        assert "kernel=numpy" in captured.err
-        # The process-wide preference must not leak out of the serve call.
-        assert kernel_preference() == "auto"
-
-    def test_serve_unavailable_kernel_exits_cleanly(self, index_path, capsys):
-        from repro.core.kernels.numba_kernel import numba_installed
-
-        if numba_installed():
-            pytest.skip("needs a numba-free host")
-        assert main(["serve", str(index_path), "--kernel", "numba"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "numba" in err and "accel" in err
-
     def test_serve_kernel_rejects_unknown_name(self, index_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", str(index_path), "--kernel", "vulkan"])
+        # There is one batch kernel: serve takes no --kernel choice at all.
+        for name in ("vulkan", "narrow"):
+            with pytest.raises(SystemExit):
+                main(["serve", str(index_path), "--kernel", name])
 
     def test_serve_requires_exactly_one_input(self, index_path, tmp_path, capsys):
         assert main(["serve"]) == 2

@@ -212,3 +212,20 @@ class TestVertexValidation:
                 index.distance(s, t)
             with pytest.raises(VertexError):
                 index.distance_batch([s], [t])
+
+    def test_one_to_many_rejects_out_of_range_ids(self, small_social_graph):
+        """Regression: ``distances_from(0, [-1, 2])`` answered ``d(0, n - 1)``
+        for the ``-1``, ``top_k_closest(-2, ...)`` answered for vertex
+        ``n - 2``, and ``distances_from(-1, ...)`` / ``distances_from(n + 1,
+        ...)`` raised raw numpy errors.  Both now raise ``VertexError``, as
+        the pair paths do."""
+        from repro.errors import VertexError
+
+        index = PrunedLandmarkLabeling().build(small_social_graph)
+        n = small_social_graph.num_vertices
+        for source, targets in [(0, [-1, 2]), (0, [n]), (-1, [1, 2]), (n + 1, [1, 2]), (-1, None), (n, None)]:
+            with pytest.raises(VertexError):
+                index.distances_from(source, targets)
+        for source, candidates in [(-2, [0, 1, 2]), (0, [1, -3]), (n, [1])]:
+            with pytest.raises(VertexError):
+                index.top_k_closest(source, candidates, 2)

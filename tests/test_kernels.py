@@ -1,351 +1,342 @@
-"""Tests for the pluggable batch-kernel layer (selection, dtypes, identity).
+"""Tests for the one batch kernel against the scalar oracle.
 
-The kernel contract has three legs:
-
-* **Selection** — ``auto`` picks the best available backend, explicit names
-  pin one, anything that cannot serve falls back to the numpy baseline with
-  the fallback flagged (logged on ``repro.kernels`` and surfaced through the
-  metrics endpoint).
-* **Dtype planning** — the narrow uint32/uint8 layout is chosen per
-  generation at freeze time, guarded against key/distance overflow, and
-  recorded in the layout metadata so attaching workers agree byte for byte.
-* **Byte-identity** — every backend (including the un-jitted numba loop
-  logic, which runs under the plain interpreter when numba is absent)
-  produces bit-identical distance arrays.
+Every kernel entry point — ``query_pairs``, the subset and full
+``query_one_to_many`` and ``rooted_probe`` — must return exactly what the
+scalar two-pointer merge (:func:`~repro.core.query.merge_join_query`), an
+interpreted loop or ``index.distance`` returns, for both key widths
+(``uint32`` and ``int64``), both sum widths (``uint16`` and ``int32``),
+empty labels, ``s == t``, disconnected graphs, and indexes with and without
+bit-parallel labels.  Stored generations keep one key array in the rule's
+width, and files written with the earlier layout (``int64`` keys plus five
+derived arrays) still load and answer identically.
 """
 
 from __future__ import annotations
 
-import logging
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core import storage
 from repro.core.index import PrunedLandmarkLabeling
 from repro.core.kernels import (
-    KERNEL_CHOICES,
-    KernelUnavailableError,
-    available_kernels,
-    create_kernel,
-    kernel_preference,
-    plan_dtypes,
+    MAX_UINT16_SUM_DISTANCE,
+    BatchQueryKernel,
+    key_dtype,
     registered_kernels,
-    select_kernel,
-    set_default_kernel,
+    rooted_probe,
+    sum_dtype,
 )
-from repro.core.kernels.base import NARROW_MAX_DISTANCE, DtypePlan
-from repro.core.kernels.narrow import NARROW_FIELDS, NarrowKernel
-from repro.core.kernels.numba_kernel import (
-    NumbaKernel,
-    _JIT_NO_HUB,
-    _one_to_many_loop,
-    _query_pairs_loop,
-    _rooted_probe_loop,
-    numba_installed,
-)
-from repro.core.kernels.numpy_kernel import NumpyKernel
-from repro.core.serialization import index_from_backend, load_index, save_index
-from repro.generators import barabasi_albert_graph
+from repro.core.labels import LabelSet
+from repro.core.query import merge_join_query
+from repro.core.serialization import index_from_backend, index_to_arrays, load_index, save_index
 from repro.graph.csr import Graph
 from repro.serving import BatchQueryEngine, SnapshotManager
-from repro.serving.metrics import index_health_stats, render_prometheus_text
+
+#: The smallest vertex count whose keys need ``int64``: ``n * n - 1 >= 2**32``.
+WIDE_N = 2**16 + 1
+
+#: Field names of the earlier stored layout, which loaders must read past.
+LEGACY_FIELDS = (
+    "kernel_keys32",
+    "kernel_dists8",
+    "kernel_hub_indptr",
+    "kernel_hub_owners",
+    "kernel_hub_dists8",
+)
+
+_SETTINGS = settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 
 
-@pytest.fixture
-def restore_kernel_preference():
-    """Snapshot and restore the process-wide kernel preference."""
-    previous = set_default_kernel(None)
-    set_default_kernel(previous)
-    yield
-    set_default_kernel(previous)
+def _label_set(num_vertices: int, rows: Dict[int, Tuple[List[int], List[int]]]) -> LabelSet:
+    """A label set with the given per-vertex labels; every other label is empty."""
+    sizes = np.zeros(num_vertices, dtype=np.int64)
+    for vertex, (hubs, _) in rows.items():
+        sizes[vertex] = len(hubs)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    hubs = np.zeros(int(indptr[-1]), dtype=np.int32)
+    dists = np.zeros(int(indptr[-1]), dtype=np.uint16)
+    for vertex, (row_hubs, row_dists) in rows.items():
+        hubs[indptr[vertex]: indptr[vertex + 1]] = row_hubs
+        dists[indptr[vertex]: indptr[vertex + 1]] = row_dists
+    return LabelSet(indptr, hubs, dists, np.arange(num_vertices, dtype=np.int64))
 
 
-@pytest.fixture
-def built_index(small_social_graph):
-    return PrunedLandmarkLabeling().build(small_social_graph)
+def _oracle(labels: LabelSet, s: int, t: int) -> float:
+    s_hubs, s_dists = labels.vertex_label(s)
+    t_hubs, t_dists = labels.vertex_label(t)
+    # Python ints, so large uint16 distances cannot wrap when summed.
+    return float(
+        merge_join_query(s_hubs.tolist(), s_dists.tolist(), t_hubs.tolist(), t_dists.tolist())
+    )
 
 
-def _long_path_index(length: int = 300) -> PrunedLandmarkLabeling:
-    """A path graph whose diameter exceeds the narrow distance bound."""
-    graph = Graph(length, [(i, i + 1) for i in range(length - 1)])
-    return PrunedLandmarkLabeling(num_bit_parallel_roots=0).build(graph)
+@st.composite
+def labelled_vertices(draw):
+    """``(labels, vertices)``: arbitrary rank-sorted labels over a few vertices.
+
+    With ``wide``, the vertex count is :data:`WIDE_N` and the labelled
+    vertices and hubs sit at both ends of the id range, so keys run past
+    ``2**32``.  Distances reach past the ``uint16`` sum bound when drawn so.
+    """
+    wide = draw(st.booleans())
+    if wide:
+        num_vertices = WIDE_N
+        pool = list(range(6)) + list(range(WIDE_N - 6, WIDE_N))
+    else:
+        num_vertices = draw(st.integers(1, 12))
+        pool = list(range(num_vertices))
+    largest = draw(st.sampled_from([3, 40, MAX_UINT16_SUM_DISTANCE + 1, 65534]))
+    rows = {}
+    for vertex in pool:
+        hubs = sorted(draw(st.sets(st.sampled_from(pool), max_size=5)))
+        dists = draw(st.lists(st.integers(0, largest), min_size=len(hubs), max_size=len(hubs)))
+        rows[vertex] = (hubs, dists)
+    return _label_set(num_vertices, rows), pool
 
 
-# ---------------------------------------------------------------------------
-# Dtype planning
-# ---------------------------------------------------------------------------
+@st.composite
+def probe_inputs(draw):
+    """Rank-sorted segments, a scattered root label and a rank cut-off."""
+    num_ranks = draw(st.integers(1, 30))
+    sentinel = 2**40
+    segments = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, num_ranks - 1), st.integers(0, 50)), max_size=6),
+        max_size=12,
+    ))
+    segments = [sorted(dict(segment).items()) for segment in segments]
+    temp = np.full(num_ranks, sentinel, dtype=np.int64)
+    root = draw(st.dictionaries(st.integers(0, num_ranks - 1), st.integers(0, 50)))
+    for rank, distance in root.items():
+        temp[rank] = distance
+    return segments, temp, draw(st.integers(0, num_ranks - 1)), sentinel
+
+
+@st.composite
+def small_graphs(draw):
+    num_vertices = draw(st.integers(1, 40))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, num_vertices - 1), st.integers(0, num_vertices - 1)),
+        max_size=2 * num_vertices,
+    ))
+    return Graph(num_vertices, [(u, v) for u, v in edges if u != v])
 
 
 class TestDtypePlan:
-    def test_small_index_plans_narrow(self):
-        plan = plan_dtypes(1_000, np.asarray([0, 3, NARROW_MAX_DISTANCE], dtype=np.uint16))
-        assert plan.narrow
-        assert plan.key_dtype == "uint32"
-        assert plan.dist_dtype == "uint8"
-        assert plan.max_distance == NARROW_MAX_DISTANCE
+    """The width rule: keys from the vertex count, sums from the largest distance."""
 
-    def test_distance_255_forces_wide(self):
-        plan = plan_dtypes(1_000, np.asarray([NARROW_MAX_DISTANCE + 1], dtype=np.uint16))
-        assert not plan.narrow
-        assert plan.key_dtype == "int64"
-        assert plan.dist_dtype == "uint16"
+    def test_small_index_plans_narrow(self, small_social_graph):
+        index = PrunedLandmarkLabeling(num_bit_parallel_roots=4).build(small_social_graph)
+        kernel = index.prepare_batch_kernel()
+        assert kernel.backend_name == "narrow"
+        assert kernel.keys.dtype == np.uint32
+        assert key_dtype(2**16) == np.uint32  # largest key 2**32 - 1
 
     def test_key_overflow_forces_wide(self):
-        # 2**16.5 vertices: n*n - 1 exceeds uint32, even with tiny distances.
-        plan = plan_dtypes(100_000, np.asarray([1], dtype=np.uint16))
-        assert not plan.narrow
+        assert key_dtype(WIDE_N) == np.int64
+        assert key_dtype(100_000) == np.int64
 
     def test_empty_distances(self):
-        assert plan_dtypes(10, np.empty(0, dtype=np.uint16)).narrow
+        assert key_dtype(0) == np.uint32
+        assert sum_dtype(np.empty(0, dtype=np.uint16)) == np.uint16
+        kernel = BatchQueryKernel(_label_set(3, {}))
+        assert kernel.keys.shape == (0,) and kernel.keys.dtype == np.uint32
 
-    def test_meta_round_trip(self):
-        plan = plan_dtypes(50, np.asarray([7], dtype=np.uint16))
-        assert DtypePlan.from_meta(plan.to_meta()) == plan
+    def test_sum_width_follows_largest_distance(self):
+        assert sum_dtype(np.asarray([MAX_UINT16_SUM_DISTANCE], dtype=np.uint16)) == np.uint16
+        assert sum_dtype(np.asarray([MAX_UINT16_SUM_DISTANCE + 1], dtype=np.uint16)) == np.int32
 
-    def test_long_path_index_keeps_wide_layout(self):
-        index = _long_path_index()
-        kernel = index.prepare_batch_kernel()
-        assert not kernel.plan.narrow
-        assert kernel.plan.max_distance >= NARROW_MAX_DISTANCE + 1
-        assert kernel.export_narrow_fields() == {}
-
-
-# ---------------------------------------------------------------------------
-# Selection
-# ---------------------------------------------------------------------------
-
-
-class TestSelection:
-    def test_registry_matches_cli_choices(self):
-        assert set(registered_kernels()) == set(KERNEL_CHOICES) - {"auto"}
-        assert "numpy" in available_kernels()
-
-    def test_auto_picks_highest_priority_available(self, built_index):
-        kernel = built_index.prepare_batch_kernel()
-        assert not kernel.selection.fallback
-        if numba_installed():
-            assert kernel.backend_name == "numba"
-        else:
-            # The index is small: the narrow layout applies and outranks numpy.
-            assert kernel.backend_name == "narrow"
-
-    def test_auto_skips_narrow_silently_on_wide_layout(self):
-        index = _long_path_index()
-        kernel = index.prepare_batch_kernel()
-        if not numba_installed():
-            assert kernel.backend_name == "numpy"
-            # Skipping an inapplicable backend under auto is not a fallback.
-            assert not kernel.selection.fallback
-
-    @pytest.mark.skipif(numba_installed(), reason="needs a numba-free host")
-    def test_explicit_numba_without_numba_falls_back(self, built_index, caplog):
-        base = built_index.prepare_batch_kernel()
-        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            clone = base.using("numba")
-        assert clone.backend_name == "numpy"
-        assert clone.selection.fallback
-        assert "not available" in clone.selection.reason
-        assert any("kernel fallback" in rec.message for rec in caplog.records)
-
-    def test_explicit_narrow_on_wide_layout_falls_back(self):
-        index = _long_path_index()
-        clone = index.prepare_batch_kernel().using("narrow")
-        assert clone.backend_name == "numpy"
-        assert clone.selection.fallback
-        assert "does not support" in clone.selection.reason
-
-    def test_constructor_failure_falls_back_and_is_logged(
-        self, built_index, monkeypatch, caplog, restore_kernel_preference
-    ):
-        monkeypatch.setattr(NumbaKernel, "available", classmethod(lambda cls: True))
-
-        def boom(self, data):
-            raise RuntimeError("synthetic compile failure")
-
-        monkeypatch.setattr(NumbaKernel, "__init__", boom)
-        base = built_index.prepare_batch_kernel()
-        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            clone = base.using("numba")
-        assert clone.backend_name in ("numpy", "narrow")
-        assert clone.selection.fallback
-        assert "synthetic compile failure" in clone.selection.reason
-
-    def test_env_var_preference(self, monkeypatch, restore_kernel_preference):
-        set_default_kernel(None)
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert kernel_preference() == "numpy"
-        assert select_kernel() is NumpyKernel
-        monkeypatch.setenv("REPRO_KERNEL", "not-a-kernel")
-        assert kernel_preference() == "auto"
-
-    def test_set_default_kernel_returns_previous(self, restore_kernel_preference):
-        first = set_default_kernel("numpy")
-        assert set_default_kernel("auto") == "numpy"
-        assert set_default_kernel(first) == "auto"
-
-    def test_set_default_kernel_rejects_unknown(self):
-        with pytest.raises(KernelUnavailableError):
-            set_default_kernel("vulkan")
-
-    @pytest.mark.skipif(numba_installed(), reason="needs a numba-free host")
-    def test_strict_set_default_raises_for_unavailable(self):
-        with pytest.raises(KernelUnavailableError, match="accel"):
-            set_default_kernel("numba", strict=True)
-
-    def test_selection_flags_surface_in_metrics(
-        self, built_index, monkeypatch, restore_kernel_preference
-    ):
-        monkeypatch.setattr(NumbaKernel, "available", classmethod(lambda cls: True))
-
-        def boom(self, data):
-            raise RuntimeError("synthetic compile failure")
-
-        monkeypatch.setattr(NumbaKernel, "__init__", boom)
-        set_default_kernel("numba")
-        index = PrunedLandmarkLabeling().build(barabasi_albert_graph(150, 3, seed=5))
-        engine = BatchQueryEngine(index)
-        stats = index_health_stats(engine)
-        assert stats["kernel_fallback"] == 1
-        assert stats["kernel_requested"] == "numba"
-        assert stats["kernel_name"] in ("numpy", "narrow")
-        text = render_prometheus_text(stats)
-        assert "repro_pll_kernel_fallback 1" in text
-        assert 'requested="numba"' in text
-
-    def test_healthy_selection_reports_no_fallback(self, built_index):
-        stats = index_health_stats(BatchQueryEngine(built_index))
-        assert stats["kernel_fallback"] == 0
-        assert "repro_pll_kernel_fallback 0" in render_prometheus_text(stats)
-
-
-# ---------------------------------------------------------------------------
-# Byte-identity across backends
-# ---------------------------------------------------------------------------
+    def test_registered_kernels_names_the_one_kernel(self):
+        (cls,) = registered_kernels().values()
+        assert cls is BatchQueryKernel
+        assert {"query_pairs", "query_one_to_many"} <= set(vars(cls))
 
 
 class TestByteIdentity:
-    @pytest.fixture
-    def pairs(self, built_index):
-        rng = np.random.default_rng(3)
-        n = built_index.label_set.num_vertices
-        return rng.integers(0, n, size=(600, 2))
+    @_SETTINGS
+    @given(labelled_vertices(), st.data())
+    def test_query_pairs_byte_identical(self, drawn, data):
+        labels, pool = drawn
+        kernel = BatchQueryKernel(labels)
+        assert kernel.keys.dtype == key_dtype(labels.num_vertices)
+        pairs = data.draw(
+            st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=40)
+        )
+        sources = np.asarray([s for s, _ in pairs], dtype=np.int64)
+        targets = np.asarray([t for _, t in pairs], dtype=np.int64)
+        expected = np.asarray([_oracle(labels, s, t) for s, t in pairs], dtype=np.float64)
+        assert kernel.query_pairs(sources, targets).tobytes() == expected.tobytes()
 
-    def _clones(self, index):
-        base = index.prepare_batch_kernel()
-        clones = {"numpy": base.using("numpy")}
-        for name in ("narrow", "numba"):
-            clone = base.using(name)
-            if clone.backend_name == name and not clone.selection.fallback:
-                clones[name] = clone
-        return clones
+    @_SETTINGS
+    @given(labelled_vertices(), st.data())
+    def test_one_to_many_byte_identical(self, drawn, data):
+        labels, pool = drawn
+        kernel = BatchQueryKernel(labels)
+        source = data.draw(st.sampled_from(pool))
+        subset = data.draw(st.lists(st.sampled_from(pool), max_size=20))
+        expected = np.asarray([_oracle(labels, source, t) for t in subset], dtype=np.float64)
+        got = kernel.query_one_to_many(source, np.asarray(subset, dtype=np.int64))
+        assert got.tobytes() == expected.tobytes()
+        full = kernel.query_one_to_many(source)
+        assert full.shape == (labels.num_vertices,)
+        expected_full = np.asarray([_oracle(labels, source, t) for t in pool], dtype=np.float64)
+        assert full[pool].tobytes() == expected_full.tobytes()
+        unlabelled = np.ones(labels.num_vertices, dtype=bool)
+        unlabelled[pool] = False
+        assert np.isinf(full[unlabelled]).all()
 
-    def test_query_pairs_byte_identical(self, built_index, pairs):
-        clones = self._clones(built_index)
-        assert "narrow" in clones  # the fixture index is narrow-eligible
-        reference = clones["numpy"].query_pairs(pairs[:, 0], pairs[:, 1]).tobytes()
-        for name, clone in clones.items():
-            assert clone.query_pairs(pairs[:, 0], pairs[:, 1]).tobytes() == reference, name
+    @_SETTINGS
+    @given(probe_inputs())
+    def test_rooted_probe_loop_matches_numpy(self, drawn):
+        """An interpreted per-segment probe and the numpy one agree."""
+        segments, temp, max_rank, sentinel = drawn
+        sizes = np.asarray([len(segment) for segment in segments], dtype=np.int64)
+        starts = np.zeros(sizes.shape[0], dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        flat = [entry for segment in segments for entry in segment]
+        flat_hubs = np.asarray([hub for hub, _ in flat], dtype=np.int64)
+        flat_dists = np.asarray([dist for _, dist in flat], dtype=np.int64)
+        expected = []
+        for segment in segments:
+            best = sentinel
+            for hub, dist in segment:
+                if hub <= max_rank:
+                    best = min(best, int(temp[hub]) + dist)
+            expected.append(best)
+        got = rooted_probe(flat_hubs, flat_dists, starts, sizes, temp, max_rank, sentinel)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
 
-    def test_one_to_many_byte_identical(self, built_index):
-        clones = self._clones(built_index)
-        n = built_index.label_set.num_vertices
-        subset = np.asarray([0, 5, n - 1, 17, 5], dtype=np.int64)
-        for source in (0, n // 2, n - 1):
-            full_ref = clones["numpy"].query_one_to_many(source).tobytes()
-            sub_ref = clones["numpy"].query_one_to_many(source, subset).tobytes()
-            for name, clone in clones.items():
-                assert clone.query_one_to_many(source).tobytes() == full_ref, name
-                assert clone.query_one_to_many(source, subset).tobytes() == sub_ref, name
-
-    def test_one_to_many_matches_scalar_label_queries(self, built_index):
+    def test_one_to_many_matches_scalar_label_queries(self, small_social_graph):
         # The wire-level contract: one-to-many through the engine equals the
         # scalar per-pair path bit for bit (zeroing and bp fold included).
-        engine = BatchQueryEngine(built_index)
-        n = built_index.label_set.num_vertices
+        index = PrunedLandmarkLabeling().build(small_social_graph)
+        engine = BatchQueryEngine(index)
+        n = index.label_set.num_vertices
         source = 3
         batch = engine.query_one_to_many(source)
-        scalar = np.asarray(
-            [built_index.distance(source, t) for t in range(n)], dtype=np.float64
-        )
+        scalar = np.asarray([index.distance(source, t) for t in range(n)], dtype=np.float64)
         assert batch.tobytes() == scalar.tobytes()
 
-    def test_unjitted_numba_loops_match_numpy(self, built_index, pairs):
-        # Without numba the loop functions run under the plain interpreter;
-        # the merge logic must still match the numpy kernel bit for bit.
-        base = built_index.prepare_batch_kernel().using("numpy")
-        data = base._impl.data
-        sources = np.ascontiguousarray(pairs[:64, 0])
-        targets = np.ascontiguousarray(pairs[:64, 1])
-        out = np.empty(sources.shape[0], dtype=np.int64)
-        _query_pairs_loop(data.indptr, data.hub_ranks, data.dists, sources, targets, out)
-        looped = np.full(out.shape[0], np.inf, dtype=np.float64)
-        found = out < _JIT_NO_HUB
-        looped[found] = out[found].astype(np.float64)
-        expected = base.query_pairs(sources, targets)
-        assert looped.tobytes() == expected.tobytes()
+    def test_empty_batch_and_empty_labels(self):
+        labels = _label_set(4, {0: ([0], [0])})
+        kernel = BatchQueryKernel(labels)
+        empty = np.empty(0, dtype=np.int64)
+        assert kernel.query_pairs(empty, empty).shape == (0,)
+        assert np.isinf(kernel.query_pairs([1, 2], [3, 3])).all()
+        assert kernel.query_one_to_many(1, empty).shape == (0,)
+        assert np.isinf(kernel.query_one_to_many(1)).all()
 
-        source = int(sources[0])
-        s0, s1 = data.indptr[source], data.indptr[source + 1]
-        temp = np.full(data.num_vertices, _JIT_NO_HUB, dtype=np.int64)
-        temp[data.hub_ranks[s0:s1]] = data.dists[s0:s1]
-        target_ids = np.arange(data.num_vertices, dtype=np.int64)
-        out = np.empty(target_ids.shape[0], dtype=np.int64)
-        _one_to_many_loop(data.indptr, data.hub_ranks, data.dists, temp, target_ids, out)
-        looped = np.full(out.shape[0], np.inf, dtype=np.float64)
-        found = out < _JIT_NO_HUB
-        looped[found] = out[found].astype(np.float64)
-        assert looped.tobytes() == base.query_one_to_many(source).tobytes()
+    def test_mismatched_lengths_rejected(self):
+        kernel = BatchQueryKernel(_label_set(3, {}))
+        with pytest.raises(ValueError):
+            kernel.query_pairs([0, 1], [1])
 
-    def test_rooted_probe_loop_matches_numpy(self):
-        rng = np.random.default_rng(9)
-        num_segments, num_ranks = 40, 25
-        sizes = rng.integers(0, 6, size=num_segments).astype(np.int64)
-        total = int(sizes.sum())
-        starts = np.zeros(num_segments, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        flat_hubs = rng.integers(0, num_ranks, size=total).astype(np.int64)
-        # Rank-sorted within each segment, as the dynamic oracle guarantees.
-        for p in range(num_segments):
-            seg = slice(starts[p], starts[p] + sizes[p])
-            flat_hubs[seg] = np.sort(flat_hubs[seg])
-        flat_dists = rng.integers(0, 30, size=total).astype(np.int64)
-        sentinel = int(_JIT_NO_HUB)
-        temp = np.full(num_ranks, sentinel, dtype=np.int64)
-        temp[rng.integers(0, num_ranks, size=10)] = rng.integers(0, 20, size=10)
-        for max_rank in (0, num_ranks // 2, num_ranks - 1):
-            expected = NumpyKernel.rooted_probe(
-                flat_hubs, flat_dists, starts, sizes, temp, max_rank, sentinel
-            )
-            out = np.empty(num_segments, dtype=np.int64)
-            _rooted_probe_loop(
-                flat_hubs, flat_dists, starts, sizes, temp, max_rank, sentinel, out
-            )
-            assert out.tobytes() == expected.tobytes()
+    @_SETTINGS
+    @given(small_graphs(), st.sampled_from([0, 16]))
+    def test_index_batch_and_fan_out_match_distance(self, graph, roots):
+        index = PrunedLandmarkLabeling(num_bit_parallel_roots=roots).build(graph)
+        n = graph.num_vertices
+        grid = np.arange(n, dtype=np.int64)
+        sources, targets = np.repeat(grid, n), np.tile(grid, n)
+        scalar = np.asarray(
+            [index.distance(int(s), int(t)) for s, t in zip(sources, targets)], dtype=np.float64
+        )
+        assert index.distance_batch(sources, targets).tobytes() == scalar.tobytes()
+        rows = scalar.reshape(n, n)
+        for source in range(n):
+            assert index.distances_from(source).tobytes() == rows[source].tobytes()
+            subset = [source, n - 1, 0, source]
+            assert index.distances_from(source, subset).tobytes() == rows[source][subset].tobytes()
 
 
-# ---------------------------------------------------------------------------
-# Layout metadata: publish, attach, reload
-# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def wide_star_index():
+    """A star over :data:`WIDE_N` + 1 vertices: its keys need ``int64``."""
+    n = WIDE_N + 1
+    return PrunedLandmarkLabeling().build(Graph(n, [(0, leaf) for leaf in range(1, n)]))
+
+
+def _check_star_answers(index: PrunedLandmarkLabeling) -> None:
+    """Batch and fan-out answers of a star index equal ``index.distance``."""
+    n = index.label_set.num_vertices
+    ids = np.asarray([0, 1, 2, n // 2, n - 2, n - 1], dtype=np.int64)
+    sources, targets = np.repeat(ids, ids.shape[0]), np.tile(ids, ids.shape[0])
+    scalar = np.asarray([index.distance(int(s), int(t)) for s, t in zip(sources, targets)])
+    assert index.distance_batch(sources, targets).tobytes() == scalar.tobytes()
+    for source in (0, n - 1):
+        row = scalar[sources == source]
+        assert index.distances_from(source, ids).tobytes() == row.tobytes()
+    expected = np.full(n, 2.0)
+    expected[0], expected[n - 1] = 1.0, 0.0
+    assert index.distances_from(n - 1).tobytes() == expected.tobytes()
+
+
+class TestWideKeys:
+    def test_star_index_uses_wide_keys(self, wide_star_index):
+        kernel = wide_star_index.prepare_batch_kernel()
+        assert kernel.keys.dtype == np.int64
+        assert kernel.backend_name == "wide"
+        assert int(kernel.keys.max()) >= 2**32
+
+    def test_star_answers_match_distance(self, wide_star_index):
+        _check_star_answers(wide_star_index)
+
+
+def _parent_layout_raw(index: PrunedLandmarkLabeling, path) -> None:
+    """Write ``index`` the way the earlier layout did: ``int64`` keys, the five
+    derived narrow/hub-major arrays and a ``kernel_plan`` record."""
+    fields, metadata = index_to_arrays(index, include_kernel=True)
+    labels = index.label_set
+    keys = fields["kernel_keys"].astype(np.int64)
+    perm = np.argsort(labels.hub_ranks, kind="stable")
+    counts = np.bincount(labels.hub_ranks, minlength=labels.num_vertices)
+    hub_indptr = np.zeros(labels.num_vertices + 1, dtype=np.int64)
+    np.cumsum(counts, out=hub_indptr[1:])
+    fields.update({
+        "kernel_keys": keys,
+        "kernel_keys32": keys.astype(np.uint32),
+        "kernel_dists8": labels.distances.astype(np.uint8),
+        "kernel_hub_indptr": hub_indptr,
+        "kernel_hub_owners": (keys[perm] // labels.num_vertices).astype(np.uint32),
+        "kernel_hub_dists8": labels.distances.astype(np.uint8)[perm],
+    })
+    metadata["kernel_plan"] = {
+        "narrow": True, "key_dtype": "uint32", "dist_dtype": "uint8",
+        "max_distance": int(labels.distances.max()),
+    }
+    storage.write_raw(path, fields, metadata)
+
+
+def _stored_fields(path) -> Dict[str, np.dtype]:
+    backend = storage.MmapBackend(path)
+    try:
+        return {name: backend.get(name).dtype for name in backend.fields()}
+    finally:
+        backend.close()
 
 
 class TestLayoutMetadata:
     def test_sharded_attach_adopts_published_plan(self, small_social_graph):
+        """A shared generation stores one key array; attaching workers use it."""
         manager = SnapshotManager.from_graph(small_social_graph, shared=True)
         try:
             published = manager.current.engine.index
-            plan = published.prepare_batch_kernel().plan
             backend = manager.current.generation.backend
-            if plan.narrow:
-                stored = set(backend.fields())
-                assert set(NARROW_FIELDS) <= stored
+            fields = set(backend.fields())
+            assert "kernel_keys" in fields and not set(LEGACY_FIELDS) & fields
             attached = index_from_backend(backend)
-            attached_plan = attached.prepare_batch_kernel().plan
-            # The worker adopts the publisher's dtype decision from the layout
-            # metadata rather than re-measuring the index.
-            assert attached_plan == plan
+            attached_keys = attached.prepare_batch_kernel().keys
+            assert attached_keys.dtype == np.uint32
+            assert np.shares_memory(attached_keys, backend.get("kernel_keys"))
             rng = np.random.default_rng(4)
-            n = small_social_graph.num_vertices
-            pairs = rng.integers(0, n, size=(200, 2))
+            pairs = rng.integers(0, small_social_graph.num_vertices, size=(200, 2))
             assert (
                 attached.distance_batch(pairs[:, 0], pairs[:, 1]).tobytes()
                 == published.distance_batch(pairs[:, 0], pairs[:, 1]).tobytes()
@@ -353,33 +344,77 @@ class TestLayoutMetadata:
         finally:
             manager.close()
 
-    def test_raw_round_trip_preserves_plan(self, tmp_path, built_index):
+    def test_raw_round_trip_preserves_plan(self, tmp_path, small_social_graph):
+        index = PrunedLandmarkLabeling(num_bit_parallel_roots=4).build(small_social_graph)
         path = tmp_path / "index.pll"
-        save_index(built_index, path)
+        save_index(index, path)
+        fields = _stored_fields(path)
+        assert [name for name in fields if name.startswith("kernel")] == ["kernel_keys"]
+        assert fields["kernel_keys"] == np.uint32
         loaded = load_index(path)
-        original = built_index.prepare_batch_kernel()
-        restored = loaded.prepare_batch_kernel()
-        assert restored.plan == original.plan
-        if original.plan.narrow:
-            assert set(restored.narrow_fields()) == set(NARROW_FIELDS)
+        assert np.array_equal(loaded.prepare_batch_kernel().keys, index.prepare_batch_kernel().keys)
         rng = np.random.default_rng(6)
-        n = built_index.label_set.num_vertices
-        pairs = rng.integers(0, n, size=(200, 2))
+        pairs = rng.integers(0, small_social_graph.num_vertices, size=(200, 2))
         assert (
             loaded.distance_batch(pairs[:, 0], pairs[:, 1]).tobytes()
-            == built_index.distance_batch(pairs[:, 0], pairs[:, 1]).tobytes()
+            == index.distance_batch(pairs[:, 0], pairs[:, 1]).tobytes()
         )
 
-    def test_wide_plan_round_trips_too(self, tmp_path):
-        index = _long_path_index(280)
+    def test_wide_plan_round_trips_too(self, tmp_path, wide_star_index):
         path = tmp_path / "wide.pll"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert not loaded.prepare_batch_kernel().plan.narrow
-        assert loaded.distance(0, 279) == 279.0
+        save_index(wide_star_index, path)
+        assert _stored_fields(path)["kernel_keys"] == np.int64
+        loaded = load_index(path, mmap=True)
+        assert loaded.prepare_batch_kernel().backend_name == "wide"
+        _check_star_answers(loaded)
 
-    def test_narrow_clone_shares_label_arrays(self, built_index):
-        base = built_index.prepare_batch_kernel()
-        clone = base.using("narrow")
-        assert clone._impl.data.indptr is base._impl.data.indptr
-        assert clone._impl.data.keys is base._impl.data.keys
+    def test_narrow_clone_shares_label_arrays(self, small_social_graph):
+        """The kernel reads the label set's own arrays, never a copy."""
+        index = PrunedLandmarkLabeling(num_bit_parallel_roots=4).build(small_social_graph)
+        kernel = index.prepare_batch_kernel()
+        assert kernel._dists is index.label_set.distances
+        assert kernel._hub_ranks is index.label_set.hub_ranks
+        assert kernel._indptr is index.label_set.indptr
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_parent_layout_file_loads_and_answers_identically(
+        self, tmp_path, small_social_graph, mmap
+    ):
+        index = PrunedLandmarkLabeling(num_bit_parallel_roots=4).build(small_social_graph)
+        path = tmp_path / "parent.pll"
+        _parent_layout_raw(index, path)
+        loaded = load_index(path, mmap=mmap)
+        kernel = loaded.prepare_batch_kernel()
+        # The int64 keys are cast once to the width rule's uint32.
+        assert kernel.keys.dtype == np.uint32
+        assert np.array_equal(kernel.keys, index.prepare_batch_kernel().keys)
+        n = small_social_graph.num_vertices
+        rng = np.random.default_rng(6)
+        pairs = rng.integers(0, n, size=(400, 2))
+        assert (
+            loaded.distance_batch(pairs[:, 0], pairs[:, 1]).tobytes()
+            == index.distance_batch(pairs[:, 0], pairs[:, 1]).tobytes()
+        )
+        for source in (0, n - 1):
+            assert loaded.distances_from(source).tobytes() == index.distances_from(source).tobytes()
+            subset = pairs[:50, 1]
+            assert (
+                loaded.distances_from(source, subset).tobytes()
+                == index.distances_from(source, subset).tobytes()
+            )
+        # Re-saving writes the current layout only.
+        resaved = tmp_path / "resaved.pll"
+        save_index(loaded, resaved)
+        assert not set(LEGACY_FIELDS) & set(_stored_fields(resaved))
+
+    def test_patched_kernel_matches_rebuilt_kernel(self, small_social_graph):
+        index = PrunedLandmarkLabeling().build(small_social_graph)
+        labels = index.label_set
+        kernel = index.prepare_batch_kernel()
+        # Move vertex 3's label onto vertex 5's and drop vertex 7's.
+        updates = {5: tuple(a.tolist() for a in labels.vertex_label(3)), 7: ([], [])}
+        patched_labels = labels.patched(updates)
+        patched = kernel.patched(patched_labels, updates)
+        rebuilt = BatchQueryKernel(patched_labels)
+        assert patched.keys.dtype == rebuilt.keys.dtype
+        assert np.array_equal(patched.keys, rebuilt.keys)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bitparallel import BitParallelLabels
+from repro.core.index import PrunedLandmarkLabeling
 from repro.core.labels import INF_DISTANCE, LabelAccumulator, LabelSet
 from repro.errors import IndexBuildError
 
@@ -103,11 +105,6 @@ class TestLabelSet:
         assert labels.query(0, 1) == float("inf")
         assert labels.query_via(0, 1) == (float("inf"), None)
 
-    def test_query_many(self):
-        labels = build_tiny_labelset()
-        results = labels.query_many([(0, 2), (1, 2), (0, 0)])
-        assert list(results) == [2.0, 1.0, 0.0]
-
     def test_rank_and_order_are_inverse(self):
         labels = build_tiny_labelset()
         assert np.array_equal(labels.order[labels.rank], np.arange(3))
@@ -196,6 +193,15 @@ class TestLabelSetPatched:
             assert np.array_equal(labels.distances, expected.distances)
 
 
+def index_over(labels: LabelSet) -> PrunedLandmarkLabeling:
+    """An index answering from ``labels`` alone (no bit-parallel labels)."""
+    index = PrunedLandmarkLabeling()
+    index._labels = labels
+    index._bit_parallel = BitParallelLabels.make_empty(labels.num_vertices)
+    index._order = labels.order
+    return index
+
+
 class TestQueryOneToManyEmptyGroups:
     """Regression: reduceat start-clipping used to truncate the reduce window
     of the last non-empty label segment whenever trailing vertices had empty
@@ -209,9 +215,12 @@ class TestQueryOneToManyEmptyGroups:
             [[0, 5, 1], [9, 1], []],
             np.array([0, 1, 2]),
         )
-        result = labels.query_one_to_many(0)
-        assert result[1] == 2.0  # via hub rank 2: 1 + 1, not 9 via hub 0
-        assert result[2] == float("inf")
+        index = index_over(labels)
+        # Both fan-out shapes: all targets, and a target subset (the scan
+        # that reduces over ragged groups).
+        for result in (index.distances_from(0), index.distances_from(0, [0, 1, 2])):
+            assert result[1] == 2.0  # via hub rank 2: 1 + 1, not 9 via hub 0
+            assert result[2] == float("inf")
 
     def test_matches_scalar_query_with_empty_labels(self):
         rng = np.random.default_rng(17)
@@ -228,10 +237,13 @@ class TestQueryOneToManyEmptyGroups:
             [d for _, d in labels_per_vertex],
             np.arange(n, dtype=np.int64),
         )
+        index = index_over(labels)
         for source in range(0, n, 3):
-            batch = labels.query_one_to_many(source)
+            full = index.distances_from(source)
+            subset = index.distances_from(source, range(n))
             for target in range(n):
                 expected = labels.query(source, target)
                 if source == target:
-                    continue  # one-to-many pins the source slot to 0.0
-                assert batch[target] == expected, (source, target)
+                    continue  # distances_from pins the source slot to 0.0
+                assert full[target] == expected, (source, target)
+                assert subset[target] == expected, (source, target)

@@ -83,3 +83,25 @@ def test_install_resolves_serving_hooks_and_uninstall_restores(tracer, small_soc
         if before.get(key, missing) is not after.get(key, missing)
     )
     assert changed == []
+
+
+def test_install_records_batch_kernel_spans(tracer, small_social_graph):
+    """The tracer finds the batch kernel through ``registered_kernels``: a
+    pair batch and a fan-out each leave their ``core.kernels`` spans, and the
+    pair counter counts the batch."""
+    index = PrunedLandmarkLabeling(num_bit_parallel_roots=2).build(small_social_graph)
+    recorder = tracer.Recorder()
+    try:
+        tracer.install(recorder)
+        index.distance_batch([0, 1, 2], [5, 6, 7])
+        index.distances_from(0, [1, 2, 3])
+        index.distances_from(4)
+    finally:
+        tracer.uninstall(recorder)
+    calls = {}
+    for span in recorder.spans:
+        calls[span[2]] = calls.get(span[2], 0) + 1
+    assert recorder.counts["core.kernels.pairs"] == 3
+    assert calls["core.kernels.query_pairs"] == 1
+    assert calls["core.kernels.one_to_many"] == 2
+    assert calls["core.query.kernel_prep"] == 1

@@ -6,6 +6,7 @@ import asyncio
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.index import PrunedLandmarkLabeling
@@ -530,19 +531,23 @@ class TestTracesAndDebugSurface:
             await frontend.start()
             await frontend.start_http()
             http_host, http_port = frontend.http_address
-            # One 16-pair request: big enough that the sharded engine fans it
-            # out across both workers instead of answering inline.
-            pairs = sample_pairs(small_social_graph, 16, seed=11)
-            await frontend.submit([s for s, _ in pairs], [t for _, t in pairs])
+            # One 16-pair request: big enough that the sharded engine splits
+            # it into two shards instead of answering inline.
+            distances = await frontend.submit(sources, targets)
             traces = await _http_request(http_host, http_port, "GET", "/traces")
             await frontend.stop()
-            return traces
+            return distances, traces
 
+        pairs = sample_pairs(small_social_graph, 16, seed=11)
+        sources, targets = [s for s, _ in pairs], [t for _, t in pairs]
         try:
-            status, body = run(scenario())
+            distances, (status, body) = run(scenario())
+            expected = manager.current.engine.query_batch(sources, targets)
         finally:
             engine.close()
             manager.close()
+
+        assert np.array_equal(distances, expected)
 
         assert status == 200
         payload = json.loads(body)
@@ -558,10 +563,14 @@ class TestTracesAndDebugSurface:
         trace = stitched[0]
         span_names = [s["name"] for s in trace["spans"]]
         assert "queue" in span_names and "batch" in span_names
+        # One shard span per shard of the 16-pair batch, each naming the
+        # worker pid that served it (one worker may serve both: the pool's
+        # scheduling is the OS's), with the shard pair counts covering it.
         shard_spans = [s for s in trace["spans"] if s["name"] == "shard"]
-        workers = {span["worker"] for span in shard_spans}
-        assert len(workers) >= 2  # both pool workers contributed
+        assert len(shard_spans) == 2
+        assert sum(span["pairs"] for span in shard_spans) == 16
         for span in shard_spans:
+            assert span["worker"] > 0
             assert span["pairs"] >= 1 and span["ms"] >= 0.0
 
     def test_debug_threads_dumps_all_stacks(self, engine):

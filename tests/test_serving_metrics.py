@@ -330,6 +330,19 @@ class TestIndexHealthStats:
         stats = index_health_stats(FakeEngine())
         assert stats == {"index_label_entries": 42, "index_bit_parallel_roots": 3}
 
+    def test_kernel_layout_surfaces_in_metrics(self, small_social_graph):
+        from repro.core.index import PrunedLandmarkLabeling
+        from repro.serving import BatchQueryEngine
+
+        engine = BatchQueryEngine(PrunedLandmarkLabeling().build(small_social_graph))
+        stats = index_health_stats(engine)
+        assert stats["kernel_name"] == "narrow"
+        assert stats["kernel_narrow"] == 1
+        assert "kernel_fallback" not in stats and "kernel_requested" not in stats
+        text = render_prometheus_text(stats)
+        assert 'repro_pll_kernel_info{kernel="narrow"} 1' in text
+        assert "repro_pll_kernel_narrow 1" in text
+
 
 class TestProcessResourceGauges:
     def test_snapshot_includes_resource_gauges(self):
@@ -390,10 +403,10 @@ class TestVerbAndKernelOpCounters:
         metrics = ServerMetrics()
         metrics.observe_kernel_op("narrow", "query_pairs", 8)
         metrics.observe_kernel_op("narrow", "query_one_to_many", 2)
-        metrics.observe_kernel_op("numba", "query_pairs", 1)
+        metrics.observe_kernel_op("wide", "query_pairs", 1)
         assert metrics.snapshot()["kernel_ops"] == {
             "narrow": {"query_pairs": 8, "query_one_to_many": 2},
-            "numba": {"query_pairs": 1},
+            "wide": {"query_pairs": 1},
         }
 
     def test_counters_absent_until_first_observation(self):

@@ -47,11 +47,16 @@ class TestShardedEngine:
         pairs[:10, 1] = pairs[:10, 0]
         expected = index.distance_batch(pairs[:, 0], pairs[:, 1])
         with ShardedQueryEngine(index, **WORKER_KWARGS) as engine:
-            result = engine.query_batch(pairs[:, 0], pairs[:, 1])
+            spans = []
+            result = engine.query_batch(pairs[:, 0], pairs[:, 1], span_sink=spans)
             assert np.array_equal(result, expected)
             assert engine.stats.num_queries == pairs.shape[0]
-            # Both workers participated in the fan-out.
-            assert len(engine.worker_seconds()) == 2
+            # The batch fanned out as one shard per worker slot, and the shard
+            # pair counts cover it.  Which pool process ran each shard is the
+            # scheduler's choice: one worker may take both.
+            assert [span.name for span in spans] == ["shard", "shard"]
+            assert sum(span.attrs["pairs"] for span in spans) == pairs.shape[0]
+            assert set(engine.worker_seconds()) == {span.attrs["worker"] for span in spans}
 
     def test_disconnected_pairs_cross_processes(self, disconnected_graph):
         index = PrunedLandmarkLabeling().build(disconnected_graph)
@@ -82,10 +87,27 @@ class TestShardedEngine:
         engine.close()  # idempotent
 
 
+def _calls_until_respawn(engine, call, attempts: int = 200):
+    """Results of ``call()``, repeated until the engine has rebuilt its pool.
+
+    A SIGKILLed worker breaks the pool only once the executor notices the
+    exit; until then the surviving worker may answer alone, and that answer
+    must be right too.
+    """
+    results = []
+    for _ in range(attempts):
+        results.append(call())
+        if engine.num_respawns:
+            return results
+        time.sleep(0.01)
+    pytest.fail("the pool was never rebuilt after a worker was killed")
+
+
 class TestWorkerRespawn:
     def test_dead_worker_respawns_and_batch_succeeds(self, small_social_graph):
-        """SIGKILLing a worker breaks the pool; the next batch must rebuild
-        it, re-attach the generation, and still answer correctly."""
+        """SIGKILLing a worker breaks the pool; a batch that meets the broken
+        pool rebuilds it, re-attaches the generation, and still answers
+        correctly."""
         index = PrunedLandmarkLabeling(num_bit_parallel_roots=2).build(
             small_social_graph
         )
@@ -95,19 +117,25 @@ class TestWorkerRespawn:
         )
         expected = index.distance_batch(pairs[:, 0], pairs[:, 1])
         with ShardedQueryEngine(index, metrics=metrics, **WORKER_KWARGS) as engine:
+            # ping() answers with the pids that took its probes; under host
+            # load one worker can take both, so only "at least one" holds.
             before = engine.ping()
-            assert len(before) == 2
+            assert 1 <= len(before) <= 2
             assert np.array_equal(
                 engine.query_batch(pairs[:, 0], pairs[:, 1]), expected
             )
             os.kill(before[0], signal.SIGKILL)
-            # The engine heals within the same call: pool rebuilt, fresh
-            # workers attach the generation by name, the batch retries.
-            result = engine.query_batch(pairs[:, 0], pairs[:, 1])
-            assert np.array_equal(result, expected)
+            # The batch that meets the broken pool heals it within the call:
+            # pool rebuilt, fresh workers attach the generation by name, the
+            # batch retries.  Every batch on the way answers correctly.
+            results = _calls_until_respawn(
+                engine, lambda: engine.query_batch(pairs[:, 0], pairs[:, 1])
+            )
+            for result in results:
+                assert np.array_equal(result, expected)
             assert engine.num_respawns == 1
             after = engine.ping()
-            assert len(after) == 2
+            assert 1 <= len(after) <= 2
             assert before[0] not in after
         stats = metrics.snapshot()
         assert stats["num_worker_respawns"] == 1
@@ -118,8 +146,8 @@ class TestWorkerRespawn:
             victims = engine.ping()
             for pid in victims:
                 os.kill(pid, signal.SIGKILL)
-            healed = engine.ping()
-            assert len(healed) == 2
+            healed = _calls_until_respawn(engine, engine.ping)[-1]
+            assert 1 <= len(healed) <= 2
             assert not set(victims) & set(healed)
             assert engine.num_respawns == 1
             # And the healed pool serves.
