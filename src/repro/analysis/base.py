@@ -55,7 +55,7 @@ class RuleError(Exception):
 _RULE_ID_PATTERN = re.compile(r"^RL\d{3}$")
 
 #: Comment grammar: ``# reprolint: disable`` / ``disable=RL001,RL002`` /
-#: ``disable-file=RL003``.  Anything after the rule list is free-form
+#: ``disable-file=RL004``.  Anything after the rule list is free-form
 #: justification text and is ignored.
 _SUPPRESSION_PATTERN = re.compile(
     r"#\s*reprolint:\s*(?P<verb>disable-file|disable)\s*(?:=\s*(?P<rules>[A-Za-z0-9_,\s]+?))?\s*(?:--|$)"

@@ -132,7 +132,7 @@ def run_lint_command(args: argparse.Namespace, *, stdout: Optional[IO[str]] = No
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="reprolint: project-specific static analysis (rules RL001-RL007)",
+        description="reprolint: project-specific static analysis (rules RL001-RL008)",
     )
     add_lint_arguments(parser)
     args = parser.parse_args(list(argv) if argv is not None else None)

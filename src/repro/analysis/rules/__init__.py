@@ -15,7 +15,6 @@ from . import (  # noqa: F401  (imported for registration side effects)
     lock_discipline,
     metric_names,
     protocol_drift,
-    shm_lifecycle,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "lock_discipline",
     "metric_names",
     "protocol_drift",
-    "shm_lifecycle",
 ]

@@ -3,8 +3,8 @@
 ``np.zeros(n)`` quietly allocates float64.  On the label-store and serving
 paths that is 2–8x the memory the data needs (hubs are int32, distances fit
 int8/int32), doubles cache pressure in the batch kernel, and — worst —
-changes the bytes that cross the shared-memory / raw-file layout boundary,
-where dtype is part of the on-disk contract.  Every allocation in ``core/``
+changes the bytes that cross the raw-file layout boundary, where dtype is
+part of the on-disk contract.  Every allocation in ``core/``
 and ``serving/`` therefore states its dtype.
 
 Flagged: ``np.zeros`` / ``np.empty`` / ``np.ones`` / ``np.full`` /
@@ -54,7 +54,7 @@ class DtypeDisciplineRule(Rule):
     )
     rationale = (
         "implicit float64 silently doubles label-store memory and breaks the "
-        "shared-memory/raw-layout dtype contract"
+        "raw-file layout dtype contract"
     )
 
     def applies_to(self, ctx: ModuleContext) -> bool:

@@ -1,11 +1,10 @@
 """RL001 — lock discipline: guarded attributes must not be touched bare.
 
 The serving stack guards mutable state with per-object locks
-(``ServerMetrics._lock``, ``ShardedQueryEngine._respawn_lock``,
-``SnapshotManager._write_lock``).  The recurring regression — PR 6 shipped a
-fix for exactly this in ``num_queries`` — is a *read* of such a field added
-outside the lock, which is a torn read or a stale publish on a relaxed-memory
-runtime and is invisible to tests.
+(``ServerMetrics._lock``, ``SnapshotManager._write_lock``).  The recurring
+regression — PR 6 shipped a fix for exactly this in ``num_queries`` — is a
+*read* of such a field added outside the lock, which is a torn read or a
+stale publish on a relaxed-memory runtime and is invisible to tests.
 
 The rule infers the guarded set per class: any ``self.<attr>`` written
 (assigned, aug-assigned, or written *through* — ``self._x[k] = v``,
@@ -19,8 +18,8 @@ used as a (possibly async) context manager.  Conventions the rule honours:
 * ``__init__``/``__new__`` neither create guards nor get flagged — the object
   is not yet shared during construction.
 * Methods named ``*_locked`` are assumed to be called with the lock already
-  held (the codebase convention: ``LRUCache._get_locked``,
-  ``SharedGeneration._maybe_unlink_locked``); they are skipped entirely.
+  held (the codebase convention: ``LRUCache._get_locked``); they are
+  skipped entirely.
 * A class docstring can declare guards the inference cannot see (state only
   ever mutated through method calls, e.g. ``self._latencies.record(...)``)::
 

@@ -187,22 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission control: maximum queued requests before rejecting",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker processes sharing the label arrays through named shared "
-            "memory; batches are sharded across them, bypassing the GIL for "
-            "multi-core serving (1 = single-process)"
-        ),
-    )
-    serve.add_argument(
-        "--min-shard-size",
-        type=int,
-        default=512,
-        help="target query pairs per worker shard (multi-process mode only)",
-    )
-    serve.add_argument(
         "--gc-monitor",
         action="store_true",
         help=(
@@ -246,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run reprolint, the project-specific static-analysis suite",
         description=(
             "Check the codebase against the serving stack's concurrency, "
-            "lifecycle and protocol invariants (rules RL001-RL007); see the "
+            "lifecycle and protocol invariants (rules RL001-RL008); see the "
             "README 'Static analysis' section for the catalogue."
         ),
     )
@@ -450,7 +434,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.serving import (
         LRUCache,
         ServerMetrics,
-        ShardedQueryEngine,
         SnapshotManager,
         StructuredLogger,
         TraceRecorder,
@@ -461,9 +444,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             "error: serve needs exactly one input: a saved index or --edge-list",
             file=sys.stderr,
         )
-        return 2
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
         return 2
     if args.http_port is not None and args.port is None:
         print(
@@ -503,14 +483,13 @@ def _command_serve(args: argparse.Namespace) -> int:
         base = logger if logger is not None else StructuredLogger()
         slow_logger = base.child("slow-query")
     tracer = TraceRecorder(slow_threshold_ms=args.slow_ms, logger=slow_logger)
-    sharded = args.workers > 1
     if args.edge_list is not None:
         try:
             graph, _ = read_edge_list(args.edge_list)
         except (OSError, GraphError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        manager = SnapshotManager.from_graph(graph, shared=sharded)
+        manager = SnapshotManager.from_graph(graph)
         source = args.edge_list
     else:
         try:
@@ -530,16 +509,17 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"bit_parallel_roots={index.num_bit_parallel_roots}",
                 file=sys.stderr,
             )
-        manager = SnapshotManager.from_index(index, shared=sharded)
+        manager = SnapshotManager.from_index(index)
         source = args.index
     cache = LRUCache(args.cache_size) if args.cache_size > 0 else None
     metrics = ServerMetrics()
-    # A served index may own named shared-memory generations; SIGTERM must
-    # unwind through the finally below (not hard-kill the process) or their
-    # /dev/shm segments outlive the server, and the finally must already be
-    # in place while the engine/server are constructed (a failing pool fork
-    # would otherwise skip manager.close()).  Restore the previous handler
-    # so in-process callers (tests) are unaffected afterwards.
+    # SIGTERM must unwind the process as SystemExit(143), not kill it
+    # outright, so every caller's finally block runs: perfbench/launch.py
+    # writes its --spans and --peak (VmHWM) files from one.  The TCP front
+    # end drains on SIGTERM itself while it serves; this handler covers the
+    # rest of the command (stdio sessions, cache warming).  Restore the
+    # previous handler so in-process callers (tests) are unaffected
+    # afterwards.
     import signal
 
     previous_handler = None
@@ -555,17 +535,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
         enable_gc_monitor()
         gc_monitor_enabled = True
-    engine = None
     try:
-        if sharded:
-            engine = ShardedQueryEngine(
-                manager,
-                num_workers=args.workers,
-                min_shard_size=args.min_shard_size,
-                metrics=metrics,
-                logger=logger.child("sharded") if logger is not None else None,
-            )
-        backend = engine if engine is not None else manager
         kernel_info = manager.current.engine.kernel_info()
         if logger is not None:
             logger.event("kernel_layout", **kernel_info)
@@ -575,7 +545,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 num_vertices=manager.current.engine.num_vertices,
                 cache_size=args.cache_size,
                 batch_size=args.batch_size,
-                workers=args.workers,
                 writable=manager.writable,
                 slow_ms=args.slow_ms,
                 kernel=kernel_info["name"],
@@ -584,19 +553,16 @@ def _command_serve(args: argparse.Namespace) -> int:
             print(
                 f"serving {manager.current.engine.num_vertices} vertices from {source} "
                 f"(cache={args.cache_size}, batch={args.batch_size}, "
-                f"workers={args.workers}, writable={manager.writable}, "
+                f"writable={manager.writable}, "
                 f"kernel={kernel_info['name']})",
                 file=sys.stderr,
             )
         if args.warm is not None:
-            exit_code = _warm_serve_cache(args, backend, manager, cache, logger)
+            exit_code = _warm_serve_cache(args, manager, cache, logger)
             if exit_code != 0:
                 return exit_code
-        return _serve_front_end(args, backend, manager, metrics, cache, tracer, logger)
+        return _serve_front_end(args, manager, metrics, cache, tracer, logger)
     finally:
-        if engine is not None:
-            engine.close()
-        manager.close()
         if previous_handler is not None:
             signal.signal(signal.SIGTERM, previous_handler)
         if gc_monitor_enabled:
@@ -644,14 +610,12 @@ def _stop_observability(health, shadow) -> None:
         shadow.stop()
 
 
-def _warm_serve_cache(args, backend, manager, cache, logger=None) -> int:
+def _warm_serve_cache(args, manager, cache, logger=None) -> int:
     """Replay the ``--warm`` query log into the hot-pair cache (before listening)."""
     from repro.errors import ReproError
-    from repro.serving import SnapshotManager, read_pairs_file, warm_cache
+    from repro.serving import read_pairs_file, warm_cache
 
-    engine = (
-        backend.current.engine if isinstance(backend, SnapshotManager) else backend
-    )
+    engine = manager.current.engine
     try:
         pairs = read_pairs_file(args.warm)
     except (OSError, ValueError) as exc:
@@ -674,7 +638,7 @@ def _warm_serve_cache(args, backend, manager, cache, logger=None) -> int:
     return 0
 
 
-def _serve_front_end(args, backend, manager, metrics, cache, tracer=None, logger=None) -> int:
+def _serve_front_end(args, manager, metrics, cache, tracer=None, logger=None) -> int:
     """Serve stdio through the blocking facade, or TCP (+ HTTP) from the event
     loop, until EOF/``QUIT`` or SIGTERM/SIGINT drains it."""
     import asyncio
@@ -696,12 +660,13 @@ def _serve_front_end(args, backend, manager, metrics, cache, tracer=None, logger
     )
     if args.port is None:
         front = QueryServer(
-            backend, logger=logger.child("server") if logger is not None else None, **knobs
+            manager,
+            logger=logger.child("server") if logger is not None else None,
+            **knobs,
         )
     else:
         front = AsyncQueryFrontend(
-            backend,
-            health_check_interval=5.0 if args.workers > 1 else None,
+            manager,
             logger=logger.child("aio") if logger is not None else None,
             **knobs,
         )

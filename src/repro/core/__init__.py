@@ -26,13 +26,7 @@ from repro.core.query import (
 )
 from repro.core.serialization import load_index, load_index_metadata, save_index
 from repro.core.stats import IndexStats, collect_index_stats, label_size_percentiles
-from repro.core.storage import (
-    ArrayBackend,
-    HeapBackend,
-    MmapBackend,
-    SharedGeneration,
-    SharedMemoryBackend,
-)
+from repro.core.storage import MmapBackend
 from repro.core.verification import (
     VerificationIssue,
     VerificationReport,
@@ -69,11 +63,7 @@ __all__ = [
     "save_index",
     "load_index",
     "load_index_metadata",
-    "ArrayBackend",
-    "HeapBackend",
-    "SharedMemoryBackend",
     "MmapBackend",
-    "SharedGeneration",
     "IndexStats",
     "collect_index_stats",
     "label_size_percentiles",

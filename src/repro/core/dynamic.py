@@ -53,8 +53,6 @@ import numpy as np
 from repro.core.index import PrunedLandmarkLabeling
 from repro.core.kernels import rooted_probe
 from repro.core.labels import LabelSet
-from repro.core.query import BatchQueryKernel
-from repro.core.storage import ArrayBackend
 from repro.errors import IndexBuildError, IndexStateError, VertexError
 from repro.graph.csr import Graph
 
@@ -603,9 +601,7 @@ class DynamicPrunedLandmarkLabeling:
         self._require_built()
         return frozenset(self._dirty)
 
-    def freeze(
-        self, *, diff: bool = True, backend: Optional[ArrayBackend] = None
-    ) -> PrunedLandmarkLabeling:
+    def freeze(self, *, diff: bool = True) -> PrunedLandmarkLabeling:
         """Snapshot the current labels into an immutable static oracle.
 
         The returned :class:`~repro.core.index.PrunedLandmarkLabeling` owns
@@ -622,12 +618,6 @@ class DynamicPrunedLandmarkLabeling:
         proportional to the changed labels plus a few block copies, instead
         of the O(total label entries) re-materialisation of a full freeze.
         ``diff=False`` forces the full path (the benchmark baseline).
-
-        With ``backend`` (e.g. a shared-memory generation for the
-        multi-process serving path), the frozen label arrays — and the batch
-        kernel's key array, which is then always derived — are allocated
-        from it: the diff path patches the dirty segments *directly into*
-        the new region, never materialising an intermediate heap copy.
         """
         self._require_built()
         from repro.core.bitparallel import BitParallelLabels
@@ -644,8 +634,7 @@ class DynamicPrunedLandmarkLabeling:
                 {
                     vertex: (self._hubs[vertex], self._dists[vertex])
                     for vertex in self._dirty
-                },
-                backend=backend,
+                }
             )
             # The previous snapshot's batch kernel (if the serving layer
             # built it) is patched the same way, not rebuilt from scratch.
@@ -658,17 +647,9 @@ class DynamicPrunedLandmarkLabeling:
                 if labels is self._frozen_labels:
                     kernel = base_kernel
                 else:
-                    kernel = base_kernel.patched(
-                        labels, self._dirty, backend=backend
-                    )
+                    kernel = base_kernel.patched(labels, self._dirty)
         else:
-            labels = LabelSet.from_lists(
-                self._hubs, self._dists, self._order.copy(), backend=backend
-            )
-        if backend is not None and kernel is None:
-            # A shared snapshot always carries its kernel, so attaching
-            # worker processes never pay the O(total entries) derivation.
-            kernel = BatchQueryKernel(labels, backend=backend)
+            labels = LabelSet.from_lists(self._hubs, self._dists, self._order.copy())
         self._frozen_labels = labels
         self._dirty = set()
 

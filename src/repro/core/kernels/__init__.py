@@ -30,7 +30,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.labels import LabelSet
-from repro.core.storage import ArrayBackend
 
 __all__ = [
     "BatchQueryKernel",
@@ -42,8 +41,8 @@ __all__ = [
     "registered_kernels",
 ]
 
-#: Backend field name of the stored kernel key array (raw files and
-#: shared-memory generations; see :mod:`repro.core.storage`).
+#: Field name of the stored kernel key array in raw files (see
+#: :mod:`repro.core.storage`).
 FIELD_KERNEL_KEYS = "kernel_keys"
 
 #: Largest label distance the ``uint16`` sum width carries.  The
@@ -125,19 +124,14 @@ class BatchQueryKernel:
         "_hub_major",
     )
 
-    def __init__(
-        self, labels: LabelSet, *, backend: Optional[ArrayBackend] = None
-    ) -> None:
-        # With ``backend``, the derived key array is allocated from it, so a
-        # shared-memory snapshot carries the kernel and attaching workers
-        # skip the O(total entries) derivation.
+    def __init__(self, labels: LabelSet) -> None:
         key_type = key_dtype(labels.num_vertices)
         owners = np.repeat(
             np.arange(labels.num_vertices, dtype=key_type), labels.label_sizes()
         )
         keys = owners * key_type.type(max(labels.num_vertices, 1))
         keys += labels.hub_ranks.astype(key_type)
-        self._bind(labels, keys if backend is None else backend.put(FIELD_KERNEL_KEYS, keys))
+        self._bind(labels, keys)
 
     def _bind(self, labels: LabelSet, keys: np.ndarray) -> None:
         """Share ``labels``' arrays (never copied) beside ``keys``."""
@@ -154,10 +148,10 @@ class BatchQueryKernel:
     def from_arrays(cls, labels: LabelSet, keys: np.ndarray) -> "BatchQueryKernel":
         """Reassemble a kernel from ``labels`` plus a stored key array.
 
-        The attach path of stored generations (raw files, shared memory):
-        ``keys`` is the encoding a previous kernel derived for exactly these
-        labels, so nothing is recomputed beyond the O(n) size table and one
-        max over the distances (the sum width).  Keys stored in another
+        The load path of raw files: ``keys`` is the encoding a previous
+        kernel derived for exactly these labels, so nothing is recomputed
+        beyond the O(n) size table and one max over the distances (the sum
+        width).  Keys stored in another
         width (files written before the width rule) are cast once here; keys
         already in the rule's width are used as-is, so zero-copy sources
         stay zero-copy.
@@ -186,13 +180,7 @@ class BatchQueryKernel:
         """The key layout: ``"narrow"`` (``uint32`` keys) or ``"wide"``."""
         return "narrow" if self._keys.dtype == np.uint32 else "wide"
 
-    def patched(
-        self,
-        labels: LabelSet,
-        dirty_vertices,
-        *,
-        backend: Optional[ArrayBackend] = None,
-    ) -> "BatchQueryKernel":
+    def patched(self, labels: LabelSet, dirty_vertices) -> "BatchQueryKernel":
         """Rebuild the kernel for ``labels``, reusing this kernel's keys.
 
         ``labels`` must derive from this kernel's label set with only the
@@ -201,19 +189,15 @@ class BatchQueryKernel:
         both unchanged outside the dirty vertices — so every untouched run is
         block-copied and only the dirty segments are re-encoded.  This keeps
         diff-based snapshot publication free of the O(total label entries)
-        kernel rebuild.  With ``backend``, the new key array is patched
-        directly into it (e.g. the next shared-memory generation).
+        kernel rebuild.
         """
         num_vertices = labels.num_vertices
         if num_vertices != self.num_vertices:
-            return BatchQueryKernel(labels, backend=backend)
+            return BatchQueryKernel(labels)
         new_indptr = labels.indptr
         total = int(new_indptr[-1])
         key_type = self._keys.dtype
-        if backend is None:
-            new_keys = np.empty(total, dtype=key_type)
-        else:
-            new_keys = backend.empty(FIELD_KERNEL_KEYS, (total,), key_type)
+        new_keys = np.empty(total, dtype=key_type)
         run_start = 0
         for vertex in sorted(int(v) for v in dirty_vertices) + [num_vertices]:
             if run_start < vertex:

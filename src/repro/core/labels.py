@@ -26,20 +26,12 @@ from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.storage import ArrayBackend
 from repro.errors import IndexBuildError
 
 __all__ = ["INF_DISTANCE", "LabelAccumulator", "LabelSet", "intersect_query", "merge_labels"]
 
 #: Sentinel distance meaning "unreachable" in label and temporary arrays.
 INF_DISTANCE = np.iinfo(np.uint16).max
-
-#: Backend field names of the label arrays (shared with serialization and the
-#: shared-memory snapshot export; see :mod:`repro.core.storage`).
-FIELD_INDPTR = "label_indptr"
-FIELD_HUBS = "label_hubs"
-FIELD_DISTS = "label_dists"
-FIELD_ORDER = "order"
 
 
 def merge_labels(
@@ -158,13 +150,9 @@ class LabelSet:
         Flat array of distances aligned with ``hubs``.
     order:
         ``order[r]`` is the vertex id whose rank is ``r``.
-    backend:
-        The :class:`~repro.core.storage.ArrayBackend` holding the arrays, if
-        any; stored so that the arrays' backing storage (a shared-memory
-        generation, a mapped file) stays alive as long as the label set does.
     """
 
-    __slots__ = ("_indptr", "_hubs", "_dists", "_order", "_rank", "_backend")
+    __slots__ = ("_indptr", "_hubs", "_dists", "_order", "_rank")
 
     def __init__(
         self,
@@ -172,8 +160,6 @@ class LabelSet:
         hubs: np.ndarray,
         dists: np.ndarray,
         order: np.ndarray,
-        *,
-        backend: Optional[ArrayBackend] = None,
     ) -> None:
         self._indptr = np.asarray(indptr, dtype=np.int64)
         self._hubs = np.asarray(hubs, dtype=np.int32)
@@ -182,7 +168,6 @@ class LabelSet:
         rank = np.empty(self._order.shape[0], dtype=np.int64)
         rank[self._order] = np.arange(self._order.shape[0])
         self._rank = rank
-        self._backend = backend
 
     @classmethod
     def from_lists(
@@ -190,53 +175,29 @@ class LabelSet:
         hubs_per_vertex: Sequence[Sequence[int]],
         dists_per_vertex: Sequence[Sequence[int]],
         order: Sequence[int],
-        *,
-        backend: Optional[ArrayBackend] = None,
     ) -> "LabelSet":
         """Flatten per-vertex ``(hub_rank, distance)`` lists into a frozen set.
 
         The canonical list-of-lists -> CSR conversion, shared by
         :meth:`LabelAccumulator.freeze` and the dynamic oracle's snapshot
         :meth:`~repro.core.dynamic.DynamicPrunedLandmarkLabeling.freeze`.
-        Per-vertex lists must already be sorted by hub rank.  With
-        ``backend``, the flat arrays are allocated from it (e.g. directly
-        inside a shared-memory generation) instead of the heap.
+        Per-vertex lists must already be sorted by hub rank.
         """
         num_vertices = len(hubs_per_vertex)
         sizes = np.array([len(h) for h in hubs_per_vertex], dtype=np.int64)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(sizes, out=indptr[1:])
         total = int(indptr[-1])
-        if backend is None:
-            hubs = np.empty(total, dtype=np.int32)
-            dists = np.empty(total, dtype=np.uint16)
-            order = np.asarray(order, dtype=np.int64)
-        else:
-            indptr = backend.put(FIELD_INDPTR, indptr)
-            hubs = backend.empty(FIELD_HUBS, (total,), np.int32)
-            dists = backend.empty(FIELD_DISTS, (total,), np.uint16)
-            order = backend.put(FIELD_ORDER, np.asarray(order, dtype=np.int64))
+        hubs = np.empty(total, dtype=np.int32)
+        dists = np.empty(total, dtype=np.uint16)
         for v in range(num_vertices):
             start, end = indptr[v], indptr[v + 1]
             hubs[start:end] = hubs_per_vertex[v]
             dists[start:end] = dists_per_vertex[v]
-        return cls(indptr, hubs, dists, order, backend=backend)
-
-    def to_backend(self, backend: ArrayBackend) -> "LabelSet":
-        """Copy the four label arrays onto ``backend`` and wrap them."""
-        return LabelSet(
-            backend.put(FIELD_INDPTR, self._indptr),
-            backend.put(FIELD_HUBS, self._hubs),
-            backend.put(FIELD_DISTS, self._dists),
-            backend.put(FIELD_ORDER, self._order),
-            backend=backend,
-        )
+        return cls(indptr, hubs, dists, order)
 
     def patched(
-        self,
-        updates: "Mapping[int, Tuple[Sequence[int], Sequence[int]]]",
-        *,
-        backend: Optional[ArrayBackend] = None,
+        self, updates: "Mapping[int, Tuple[Sequence[int], Sequence[int]]]"
     ) -> "LabelSet":
         """Copy-on-write update: replace the labels of a few vertices.
 
@@ -249,17 +210,11 @@ class LabelSet:
         diff-based snapshot publication cheap for the dynamic oracle (see
         :meth:`repro.core.dynamic.DynamicPrunedLandmarkLabeling.freeze`).
 
-        With ``backend``, the destination arrays are allocated from it, so
-        the dirty segments are patched *directly into* e.g. a new
-        shared-memory generation — the copy-on-write publish path never
-        materialises an intermediate heap copy.
-
-        Returns ``self`` unchanged when ``updates`` is empty and no backend
-        was requested (with a backend, the arrays are copied onto it so the
-        result always lives there); the receiver is never mutated.
+        Returns ``self`` unchanged when ``updates`` is empty; the receiver is
+        never mutated.
         """
         if not updates:
-            return self if backend is None else self.to_backend(backend)
+            return self
         num_vertices = self.num_vertices
         arrays = {}
         for vertex, (hubs, dists) in updates.items():
@@ -280,15 +235,8 @@ class LabelSet:
         new_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(new_sizes, out=new_indptr[1:])
         total = int(new_indptr[-1])
-        if backend is None:
-            new_hubs = np.empty(total, dtype=np.int32)
-            new_dists = np.empty(total, dtype=np.uint16)
-            new_order = self._order
-        else:
-            new_indptr = backend.put(FIELD_INDPTR, new_indptr)
-            new_hubs = backend.empty(FIELD_HUBS, (total,), np.int32)
-            new_dists = backend.empty(FIELD_DISTS, (total,), np.uint16)
-            new_order = backend.put(FIELD_ORDER, self._order)
+        new_hubs = np.empty(total, dtype=np.int32)
+        new_dists = np.empty(total, dtype=np.uint16)
 
         # Alternate between block-copying the untouched run before each dirty
         # vertex and writing that vertex's replacement label.
@@ -305,7 +253,7 @@ class LabelSet:
                 new_hubs[start: start + hubs.shape[0]] = hubs
                 new_dists[start: start + dists.shape[0]] = dists
             run_start = vertex + 1
-        return LabelSet(new_indptr, new_hubs, new_dists, new_order, backend=backend)
+        return LabelSet(new_indptr, new_hubs, new_dists, self._order)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -315,11 +263,6 @@ class LabelSet:
     def num_vertices(self) -> int:
         """Number of vertices covered by the label set."""
         return self._indptr.shape[0] - 1
-
-    @property
-    def backend(self) -> Optional[ArrayBackend]:
-        """The storage backend holding the arrays (``None`` for plain heap)."""
-        return self._backend
 
     @property
     def indptr(self) -> np.ndarray:

@@ -3,8 +3,7 @@
 The paper points out (Section 6, "Disk-based Query Answering") that because a
 query touches only the two contiguous label regions of its endpoints, the
 index can live on disk and still answer queries with two seeks.  This module
-provides two on-disk formats and the in-memory array-group plumbing they
-share with the shared-memory snapshot export:
+provides two on-disk formats over one array-group view of an index:
 
 * ``.npz`` — a compressed archive (the historical format; smallest files).
 * raw — the single-file aligned layout of :func:`repro.core.storage.write_raw`,
@@ -21,10 +20,8 @@ share with the shared-memory snapshot export:
 A loaded index answers queries without access to the original graph.
 
 The :func:`index_to_arrays` / :func:`index_from_arrays` pair is the single
-source of truth for the field layout; both file formats and
-:func:`export_index_to_backend` / :func:`index_from_backend` (the
-shared-memory generation export used by :mod:`repro.serving.sharded`) are
-thin wrappers over it.
+source of truth for the field layout; both file formats are thin wrappers
+over it.
 """
 
 from __future__ import annotations
@@ -51,8 +48,6 @@ __all__ = [
     "load_index_metadata",
     "index_to_arrays",
     "index_from_arrays",
-    "export_index_to_backend",
-    "index_from_backend",
     "FORMAT_VERSION",
 ]
 
@@ -75,7 +70,7 @@ def index_to_arrays(
     ``fields`` maps storage field names to flat numpy arrays (bit-parallel
     root sets are ragged and therefore stored flattened with offsets);
     ``metadata`` is the small JSON-able record.  With ``include_kernel`` the
-    precomputed batch-kernel key array rides along, so an attaching process
+    precomputed batch-kernel key array rides along, so a loading process
     can skip the O(total label entries) kernel derivation.
     """
     if not index.built:
@@ -119,14 +114,13 @@ def index_from_arrays(
     metadata: Dict,
     *,
     has_kernel: bool = False,
-    backend=None,
 ) -> PrunedLandmarkLabeling:
     """Reassemble an index from a field lookup (inverse of :func:`index_to_arrays`).
 
     ``get`` returns the array stored under a field name — an npz archive
-    lookup, a backend ``get``, or memory-map views; the arrays are used as-is
-    (no copy), so zero-copy sources stay zero-copy.  ``backend`` is attached
-    to the label set purely to keep the backing storage alive.
+    lookup or memory-map views; the arrays are used as-is (no copy), so
+    zero-copy sources stay zero-copy (a mapped view keeps its map alive
+    through its own ``.base``).
 
     Fields the layout does not name are never read: files written before the
     kernel stored one key array still carry five derived ``kernel_*`` arrays
@@ -137,7 +131,6 @@ def index_from_arrays(
         get("label_hubs"),
         get("label_dists"),
         get("order"),
-        backend=backend,
     )
     set_indptr = get("bp_set_indptr")
     set_members = get("bp_set_members")
@@ -163,40 +156,6 @@ def index_from_arrays(
     if has_kernel:
         index._batch_kernel = BatchQueryKernel.from_arrays(labels, get(FIELD_KERNEL_KEYS))
     return index
-
-
-def export_index_to_backend(
-    index: PrunedLandmarkLabeling,
-    backend: storage.SharedMemoryBackend,
-    *,
-    source: str = "",
-) -> None:
-    """Copy a built index into a shared-memory group and seal it.
-
-    Fields the backend already holds are skipped: when a diff freeze has
-    already patched the label and kernel arrays straight into ``backend``,
-    only the remaining (bit-parallel + metadata) pieces are added here.
-    Sealing makes the group attachable by :func:`index_from_backend`.
-    """
-    fields, metadata = index_to_arrays(index, include_kernel=True)
-    existing = set(backend.fields())
-    for field, array in fields.items():
-        if field not in existing:
-            backend.put(field, array)
-    if source:
-        metadata = dict(metadata, source=source)
-    backend.seal(metadata)
-
-
-def index_from_backend(backend) -> PrunedLandmarkLabeling:
-    """Reassemble an index over a sealed backend's (read-only) array views."""
-    metadata = backend.meta
-    return index_from_arrays(
-        backend.get,
-        metadata,
-        has_kernel=FIELD_KERNEL_KEYS in backend.fields(),
-        backend=backend,
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -302,9 +261,7 @@ def load_index(path: PathLike, *, mmap: bool = False) -> PrunedLandmarkLabeling:
             metadata = _check_format(dict(backend.meta))
             has_kernel = FIELD_KERNEL_KEYS in backend.fields()
             if mmap:
-                return index_from_arrays(
-                    backend.get, metadata, has_kernel=has_kernel, backend=backend
-                )
+                return index_from_arrays(backend.get, metadata, has_kernel=has_kernel)
             # Heap load from a raw file: copy out the views the index reads,
             # then drop the map.
             try:

@@ -14,7 +14,7 @@ Three rule shapes cover the serving dashboard:
   hit-rate collapse, event-loop lag.
 * :class:`DeltaRule` — compare the *windowed increase* of counters (again
   optionally a ratio) against a bound.  Example: error rate over the last
-  minute, worker-respawn spikes, shadow-canary mismatches.
+  minute, shadow-canary mismatches.
 * :class:`BurnRateRule` — the Google-SRE multi-window burn rate over a
   latency histogram: the fraction of recent requests slower than the SLO
   threshold, divided by the error budget ``1 - objective``, evaluated over a

@@ -35,15 +35,9 @@ NUM_BATCHES = "num_batches"
 NUM_QUERIES = "num_queries"
 NUM_REJECTED = "num_rejected"
 NUM_ERRORS = "num_errors"
-NUM_WORKER_RESPAWNS = "num_worker_respawns"
 QPS = "qps"
 BUSY_FRACTION = "busy_fraction"
 AVERAGE_BATCH_SIZE = "average_batch_size"
-
-NUM_WORKERS = "num_workers"
-WORKER_QUERIES_MIN = "worker_queries_min"
-WORKER_QUERIES_MAX = "worker_queries_max"
-WORKER_BUSY_SECONDS_TOTAL = "worker_busy_seconds_total"
 
 CACHE_HITS = "cache_hits"
 CACHE_MISSES = "cache_misses"
@@ -59,7 +53,6 @@ INDEX_LABEL_ENTRIES = "index_label_entries"
 INDEX_BIT_PARALLEL_ROOTS = "index_bit_parallel_roots"
 INDEX_DIRTY_VERTICES = "index_dirty_vertices"
 INDEX_NUM_VERTICES = "index_num_vertices"
-GENERATION_BYTES = "generation_bytes"
 KERNEL_NARROW = "kernel_narrow"
 
 PROCESS_RSS_BYTES = "process_rss_bytes"
@@ -98,14 +91,7 @@ STAGE_CACHE_PROBE_SECONDS = "stage_cache_probe_seconds"
 ALERTS_SERIES = "ALERTS"
 VERB_QUERIES_TOTAL = "verb_queries_total"
 KERNEL_OP_QUERIES_TOTAL = "kernel_op_queries_total"
-GENERATION_INFO = "generation_info"
 KERNEL_INFO = "kernel_info"
-WORKER_BUSY_SECONDS = "worker_busy_seconds"
-
-#: Per-worker counter field inside ``snapshot()["workers"][pid]`` that also
-#: feeds the ``worker_busy_seconds`` series (the other fields — ``num_shards``,
-#: ``num_queries`` — reuse names above or fall outside the metric grammar).
-FIELD_BUSY_SECONDS = "busy_seconds"
 
 # --------------------------------------------------------------------------- #
 # Metadata shared by the renderer and the validator.
@@ -120,7 +106,6 @@ PROMETHEUS_COUNTERS: FrozenSet[str] = frozenset(
         NUM_QUERIES,
         NUM_REJECTED,
         NUM_ERRORS,
-        NUM_WORKER_RESPAWNS,
         CACHE_HITS,
         CACHE_MISSES,
         CACHE_EVICTIONS,
@@ -144,7 +129,6 @@ METRIC_HELP: Dict[str, str] = {
     NUM_QUERIES: "Total query pairs answered.",
     NUM_REJECTED: "Requests rejected by admission control.",
     NUM_ERRORS: "Requests that failed with an error.",
-    NUM_WORKER_RESPAWNS: "Times the sharded worker pool was rebuilt after breaking.",
     QPS: "Queries answered per second of uptime.",
     BUSY_FRACTION: "Fraction of uptime spent evaluating batches.",
     AVERAGE_BATCH_SIZE: "Mean query pairs per evaluated batch.",
@@ -156,7 +140,6 @@ METRIC_HELP: Dict[str, str] = {
     INDEX_BIT_PARALLEL_ROOTS: "Bit-parallel BFS roots carried by the served index.",
     INDEX_DIRTY_VERTICES: "Shadow-index vertices dirtied since the last publish.",
     INDEX_NUM_VERTICES: "Vertices covered by the currently served index.",
-    GENERATION_BYTES: "Bytes of the shared-memory generation backing the snapshot.",
     KERNEL_NARROW: "1 when the served batch kernel uses uint32 keys (the narrow layout).",
     PROCESS_RSS_BYTES: "Resident set size of the serving process.",
     PROCESS_OPEN_FDS: "Open file descriptors held by the serving process.",
@@ -176,12 +159,12 @@ METRIC_HELP: Dict[str, str] = {
     LATENCY_SECONDS: "End-to-end request latency (admission to reply).",
     STAGE_QUEUE_SECONDS: "Time requests spend queued before the batcher dequeues them.",
     STAGE_BATCH_SECONDS: "Time requests spend in the coalescing window.",
-    STAGE_KERNEL_SECONDS: "Engine evaluation time per batch (kernel or worker shards).",
+    STAGE_KERNEL_SECONDS: "Engine evaluation time per batch.",
     STAGE_CACHE_PROBE_SECONDS: "Hot-pair cache probe time per batch.",
 }
 
 #: Every name RL008 accepts as "registered": the union of help-described keys,
-#: counters, labelled series names and per-worker fields.  A metric-shaped
+#: counters and labelled series names.  A metric-shaped
 #: string literal in the scoped modules that is *not* in this set is a drift
 #: hazard and gets flagged.
 REGISTERED_NAMES: FrozenSet[str] = (
@@ -189,17 +172,10 @@ REGISTERED_NAMES: FrozenSet[str] = (
     | PROMETHEUS_COUNTERS
     | frozenset(
         {
-            NUM_WORKERS,
-            WORKER_QUERIES_MIN,
-            WORKER_QUERIES_MAX,
-            WORKER_BUSY_SECONDS_TOTAL,
             ALERTS_SERIES,
             VERB_QUERIES_TOTAL,
             KERNEL_OP_QUERIES_TOTAL,
-            GENERATION_INFO,
             KERNEL_INFO,
-            WORKER_BUSY_SECONDS,
-            FIELD_BUSY_SECONDS,
         }
     )
 )

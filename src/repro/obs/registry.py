@@ -43,7 +43,6 @@ _SUITES: Dict[str, BenchSuite] = {
         # Serving-system suites (the CI smoke set).
         BenchSuite("kernels", "bench_kernels.py", "the batch kernel vs the scalar loop"),
         BenchSuite("dynamic", "bench_dynamic.py", "dynamic oracle mutations and diff publish"),
-        BenchSuite("sharded", "bench_sharded.py", "process-pool fan-out vs single process"),
         BenchSuite("async", "bench_async.py", "asyncio front end under connection load"),
         BenchSuite(
             "observability",

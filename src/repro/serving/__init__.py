@@ -26,14 +26,9 @@ while the index is updated underneath it.
   health engine evaluating the default SLO/burn-rate alert rules against
   metrics snapshots, and :class:`ShadowCanary`, the sampled shadow
   correctness recomputation behind ``serve --shadow-sample``.
-* :mod:`~repro.serving.sharded` — :class:`ShardedQueryEngine`, the
-  multi-process engine answering batch shards against named shared-memory
-  snapshot generations (the GIL bypass for multi-core serving), with
-  worker health checks and automatic pool respawn.
 * :mod:`~repro.serving.metrics` — :class:`ServerMetrics`: QPS, P50/P95/P99
   latency, true fixed-bucket latency/stage :class:`Histogram`\\ s, cache hit
-  rate, per-worker shard accounting, index-health gauges and the Prometheus
-  text-exposition renderer.
+  rate, index-health gauges and the Prometheus text-exposition renderer.
 * :mod:`~repro.serving.tracing` — :class:`TraceRecorder` /
   :class:`StructuredLogger`: per-request trace ids and spans, the
   recent/slow trace ring buffers, the slow-query log and the JSON event
@@ -66,7 +61,6 @@ from repro.serving.server import (
     serve_stdio,
     warm_cache,
 )
-from repro.serving.sharded import ShardedQueryEngine, default_worker_count
 from repro.serving.snapshot import IndexSnapshot, SnapshotManager
 from repro.serving.tracing import (
     NullTraceRecorder,
@@ -85,8 +79,6 @@ __all__ = [
     "ShadowCanary",
     "alerts_wire_reply",
     "default_alert_rules",
-    "ShardedQueryEngine",
-    "default_worker_count",
     "LRUCache",
     "CacheStats",
     "cached_query_batch",

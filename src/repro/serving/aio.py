@@ -17,9 +17,8 @@ a private loop thread.
 * **Awaitable micro-batching.**  Requests land on an :class:`asyncio.Queue`;
   a batcher coroutine coalesces them under a deadline + max-batch bound, with
   ``max_pending`` admission control, and dispatches each batch to the engine
-  through ``run_in_executor`` — CPU work (numpy label merges, or the sharded
-  engine's cross-process fan-out) never blocks the loop, so accepts and
-  reads keep flowing while a batch computes.
+  through ``run_in_executor`` — CPU work (numpy label merges) never blocks
+  the loop, so accepts and reads keep flowing while a batch computes.
 * **HTTP/1.1 admin plane.**  A second listener answers ``GET /metrics``
   (Prometheus text exposition — counters, gauges, latency/stage histograms
   and index-health gauges rendered from
@@ -36,17 +35,11 @@ a private loop thread.
   needed.
 * **Graceful drain.**  ``SIGTERM``/``SIGINT`` (or :meth:`request_stop`) stop
   admissions, finish every in-flight batch, flush the replies, then close
-  the connections — clients always see a final response or a clean EOF, and
-  shared-memory generations are retired by the owning manager/engine
-  ``close()`` afterwards, never yanked mid-batch.
-* **Self-healing backend.**  With a sharded backend, an optional health
-  coroutine pings the worker pool periodically; a broken pool is respawned
-  by the engine and counted in the metrics.
+  the connections — clients always see a final response or a clean EOF.
 
-The front end accepts three backends — a
-:class:`~repro.serving.snapshot.SnapshotManager`, a bare
-:class:`~repro.serving.engine.BatchQueryEngine`, or a
-:class:`~repro.serving.sharded.ShardedQueryEngine` — and the same hot-pair
+The front end accepts two backends — a
+:class:`~repro.serving.snapshot.SnapshotManager` or a bare
+:class:`~repro.serving.engine.BatchQueryEngine` — and the same hot-pair
 :class:`~repro.serving.cache.LRUCache`.
 """
 
@@ -168,10 +161,8 @@ class AsyncQueryFrontend:
     ----------
     backend:
         A :class:`~repro.serving.snapshot.SnapshotManager` (hot-swap serving
-        and mutations), a bare :class:`~repro.serving.engine.BatchQueryEngine`
-        (static index), or a :class:`~repro.serving.sharded.ShardedQueryEngine`
-        (multi-process serving, with mutations when it wraps a shared
-        manager).
+        and mutations) or a bare :class:`~repro.serving.engine.BatchQueryEngine`
+        (static index).
     cache:
         Optional hot-pair :class:`~repro.serving.cache.LRUCache`; hits skip
         the engine, and the cache is cleared when the snapshot version
@@ -182,10 +173,6 @@ class AsyncQueryFrontend:
         on admitted, unfinished requests (admission control).
     metrics:
         Optional shared :class:`~repro.serving.metrics.ServerMetrics`.
-    health_check_interval:
-        Seconds between worker-pool health probes; only meaningful when the
-        backend exposes ``ping`` (the sharded engine).  ``None`` disables the
-        probe loop.
     tracer:
         :class:`~repro.serving.tracing.TraceRecorder` collecting per-request
         traces, served on ``GET /traces`` and the ``TRACES`` wire command
@@ -219,7 +206,6 @@ class AsyncQueryFrontend:
         batch_timeout: float = 0.002,
         max_pending: int = 4096,
         metrics: Optional[ServerMetrics] = None,
-        health_check_interval: Optional[float] = None,
         tracer: Optional[TraceRecorder] = None,
         logger: Optional[StructuredLogger] = None,
     ) -> None:
@@ -238,13 +224,11 @@ class AsyncQueryFrontend:
         self.shadow: Optional[ShadowCanary] = None
         manager = self.snapshot_manager
         self._cache_version = manager.version if manager is not None else None
-        self._health_check_interval = health_check_interval
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional["asyncio.Queue[Optional[_AsyncRequest]]"] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._batcher_task: Optional[asyncio.Task] = None
-        self._health_task: Optional[asyncio.Task] = None
         self._lag_task: Optional[asyncio.Task] = None
         #: Latest sampled event-loop scheduling lag (seconds); written only
         #: by the lag task on the loop, read by metrics_snapshot.
@@ -273,7 +257,7 @@ class AsyncQueryFrontend:
         """The backing snapshot manager, when hot swap is enabled."""
         if isinstance(self._backend, SnapshotManager):
             return self._backend
-        return getattr(self._backend, "snapshot_manager", None)
+        return None
 
     @property
     def running(self) -> bool:
@@ -317,9 +301,7 @@ class AsyncQueryFrontend:
         if self.cache is not None and snapshot.version != self._cache_version:
             self.cache.clear()
             self._cache_version = snapshot.version
-        if isinstance(self._backend, SnapshotManager):
-            return snapshot.engine
-        return self._backend
+        return snapshot.engine
 
     # ------------------------------------------------------------------ #
     # Metrics
@@ -348,7 +330,7 @@ class AsyncQueryFrontend:
             )
         except Exception:
             # Health introspection is best effort: a backend mid-teardown
-            # (closed sharded engine) must not take /metrics down with it.
+            # must not take /metrics down with it.
             pass
         return augment_snapshot(stats, health=self.health, shadow=self.shadow)
 
@@ -425,8 +407,6 @@ class AsyncQueryFrontend:
         self._running = True
         self._batcher_task = asyncio.create_task(self._batcher_loop())
         self._lag_task = asyncio.create_task(self._lag_loop())
-        if self._health_check_interval and hasattr(self._backend, "ping"):
-            self._health_task = asyncio.create_task(self._health_loop())
         if self.logger is not None:
             self.logger.event(
                 "frontend_start",
@@ -462,13 +442,6 @@ class AsyncQueryFrontend:
             except Exception:  # pragma: no cover - timeout or platform teardown
                 pass
         self._servers.clear()
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
         if self._lag_task is not None:
             self._lag_task.cancel()
             try:
@@ -577,7 +550,7 @@ class AsyncQueryFrontend:
         finally:
             # Drain with the handlers still installed: a second SIGTERM during
             # the drain must stay a (redundant) stop request, not the default
-            # hard kill that would strand shared-memory generations.
+            # hard kill that would cut off in-flight replies.
             try:
                 await self.stop()
             finally:
@@ -818,7 +791,7 @@ class AsyncQueryFrontend:
 
         Each request gets its own ``queue`` / ``batch`` / ``reply`` spans
         (those durations differ per request) plus the *shared* cache-probe
-        and kernel/shard span objects — every request in the batch rode the
+        and kernel span objects — every request in the batch rode the
         same engine call.  The same stage durations feed the per-stage
         histograms in one call.
         """
@@ -846,7 +819,7 @@ class AsyncQueryFrontend:
         if self.metrics.has_histograms:
             stages = {"queue": stage_queue, "batch": stage_batch}
             kernel_seconds = [
-                span.seconds for span in batch_spans if span.name in ("kernel", "shard")
+                span.seconds for span in batch_spans if span.name == "kernel"
             ]
             probe_seconds = [
                 span.seconds for span in batch_spans if span.name == "cache_probe"
@@ -967,24 +940,6 @@ class AsyncQueryFrontend:
             await asyncio.sleep(self._lag_interval)
             self._loop_lag = max(0.0, self._loop.time() - target)
 
-    async def _health_loop(self) -> None:
-        """Ping the sharded worker pool periodically; it respawns on breakage."""
-        while True:
-            await asyncio.sleep(self._health_check_interval)
-            try:
-                await self._loop.run_in_executor(
-                    self._executor, self._backend.ping
-                )
-            except ServingError:
-                # Only a closed engine ends the probing; a transient failure
-                # (e.g. the respawned pool broke again under memory pressure)
-                # must not silently disable self-healing for good.
-                if getattr(self._backend, "closed", False):
-                    return
-                continue
-            except Exception:  # pragma: no cover - probe must never kill the loop
-                continue
-
     # ------------------------------------------------------------------ #
     # Line protocol
     # ------------------------------------------------------------------ #
@@ -1038,8 +993,8 @@ class AsyncQueryFrontend:
             distance = float((await self.submit([s], [t]))[0])
         # Client-attributable failures answer an error line, never a
         # traceback that kills the session: ServingError covers a draining
-        # front end, TimeoutError a wedged sharded worker surfacing through
-        # the batch retry.  Genuine engine bugs still raise.
+        # front end, TimeoutError an engine call that did not finish in
+        # time.  Genuine engine bugs still raise.
         except (AdmissionError, ServingError, VertexError, TimeoutError) as exc:
             return format_error(exc)
         return format_distance_line(s, t, distance)

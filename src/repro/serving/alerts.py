@@ -123,15 +123,6 @@ def default_alert_rules(
             for_seconds=30.0,
             description="mean stop-the-world GC pause above 50 ms over 1 m",
         ),
-        DeltaRule(
-            name="WorkerRespawnSpike",
-            severity=SEVERITY_PAGE,
-            numerator=(names.NUM_WORKER_RESPAWNS,),
-            window_seconds=300.0,
-            threshold=0.0,
-            for_seconds=0.0,
-            description="the sharded worker pool was rebuilt within the last 5 m",
-        ),
         ThresholdRule(
             name="DirtyVertexRatioHigh",
             severity=SEVERITY_TICKET,
@@ -463,16 +454,6 @@ class ShadowCanary:
             finally:
                 self._queue.task_done()
 
-    @staticmethod
-    def _baseline_index(engine: object) -> Optional[object]:
-        """The scalar-queryable index behind whatever engine shape serves."""
-        index = getattr(engine, "index", None)
-        if index is not None:
-            return index
-        manager = getattr(engine, "snapshot_manager", None)
-        current = getattr(manager, "current", None)
-        return getattr(current, "index", None)
-
     def _verify(
         self,
         engine: object,
@@ -480,7 +461,7 @@ class ShadowCanary:
         targets: np.ndarray,
         served: np.ndarray,
     ) -> None:
-        index = self._baseline_index(engine)
+        index = getattr(engine, "index", None)
         if index is None:
             with self._lock:
                 self._num_dropped += 1

@@ -40,7 +40,7 @@ def cached_query_batch(
 
     ``span_sink`` (a list, or ``None``) collects tracing spans for the batch:
     a ``cache_probe`` span covering the lookup, plus whatever the engine
-    appends (``kernel``, or one ``shard`` span per worker).  The engine only
+    appends (a ``kernel`` span).  The engine only
     receives the sink when it advertises ``accepts_span_sink``, so arbitrary
     engine ducks keep working untraced.
     """

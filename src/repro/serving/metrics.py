@@ -48,7 +48,7 @@ __all__ = [
 DEFAULT_PERCENTILES = (50.0, 95.0, 99.0)
 
 #: Default latency histogram buckets in **seconds**: 100 µs to 2.5 s, roughly
-#: logarithmic — wide enough to cover a cache hit and a wedged shard alike.
+#: logarithmic — wide enough to cover a cache hit and a wedged engine call alike.
 DEFAULT_LATENCY_BUCKETS = (
     0.0001,
     0.00025,
@@ -162,13 +162,10 @@ def render_prometheus_text(
     Produces the `text exposition format
     <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ (version
     0.0.4): ``# HELP`` / ``# TYPE`` comment pairs followed by one sample per
-    metric, all names prefixed with ``prefix``.  The nested per-worker
-    breakdown (the ``workers`` key) becomes labelled series —
-    ``<prefix>_worker_queries{worker="<pid>"}`` and friends — so a skewed or
-    respawned pool is visible to the scraper; the nested ``histograms`` key
+    metric, all names prefixed with ``prefix``.  The nested ``histograms`` key
     becomes true histogram exposition (``_bucket`` series per ``le`` bound
-    plus ``_sum``/``_count``); a ``generation_name`` string becomes an
-    info-style gauge (``<prefix>_generation_info{name="..."} 1``); an
+    plus ``_sum``/``_count``); a ``kernel_name`` string becomes an
+    info-style gauge (``<prefix>_kernel_info{kernel="..."} 1``); an
     ``alerts`` list from the health engine becomes the conventional
     *unprefixed* ``ALERTS{alertname=...,severity=...,alertstate=...} 1``
     series Prometheus itself exports for active alerts.  Other non-numeric
@@ -181,14 +178,12 @@ def render_prometheus_text(
         lines.append(f"# TYPE {name} {kind}")
         lines.append(f"{name}{labels} {_prometheus_number(value)}")
 
-    workers = stats.get("workers")
     histograms = stats.get("histograms")
-    generation_name = stats.get("generation_name")
     verbs = stats.get("verbs")
     kernel_ops = stats.get("kernel_ops")
     alerts = stats.get("alerts")
     for key in sorted(stats):
-        if key in ("workers", "histograms", "generation_name", "verbs", "kernel_ops", "alerts"):
+        if key in ("histograms", "verbs", "kernel_ops", "alerts"):
             continue
         value = stats[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -212,14 +207,6 @@ def render_prometheus_text(
                 f'{name}{{alertname="{alertname}",severity="{severity}"'
                 f',alertstate="{alertstate}"}} 1'
             )
-    if isinstance(generation_name, str) and generation_name:
-        emit(
-            f"{prefix}_{names.GENERATION_INFO}",
-            1,
-            "gauge",
-            "Identity of the shared-memory generation backing the snapshot.",
-            labels=f'{{name="{generation_name}"}}',
-        )
     kernel_name = stats.get("kernel_name")
     if isinstance(kernel_name, str) and kernel_name:
         emit(
@@ -269,30 +256,6 @@ def render_prometheus_text(
             lines.append(f'{name}_bucket{{le="+Inf"}} {_prometheus_number(count)}')
             lines.append(f"{name}_sum {_prometheus_number(hist.get('sum', 0.0))}")
             lines.append(f"{name}_count {_prometheus_number(count)}")
-    if isinstance(workers, Mapping) and workers:
-        per_worker = {
-            "num_shards": ("shards", "counter", "Batch shards evaluated by this worker."),
-            names.NUM_QUERIES: ("queries", "counter", "Query pairs answered by this worker."),
-            # busy_seconds only ever accumulates — a counter, so PromQL
-            # rate() works on it (it was previously mistyped as a gauge).
-            names.FIELD_BUSY_SECONDS: (
-                names.FIELD_BUSY_SECONDS,
-                "counter",
-                "Cumulative evaluation seconds in this worker.",
-            ),
-        }
-        for field_name, (suffix, kind, help_text) in per_worker.items():
-            name = f"{prefix}_worker_{suffix}"
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            for worker in sorted(workers):
-                counters = workers[worker]
-                if field_name not in counters:
-                    continue
-                lines.append(
-                    f'{name}{{worker="{worker}"}} '
-                    f"{_prometheus_number(counters[field_name])}"
-                )
     return "\n".join(lines) + "\n"
 
 
@@ -380,7 +343,6 @@ class ServerMetrics:
     method calls, which the checker cannot infer from writes:
 
         _latencies: guarded-by _lock
-        _workers: guarded-by _lock
         _verbs: guarded-by _lock
         _kernel_ops: guarded-by _lock
 
@@ -416,15 +378,11 @@ class ServerMetrics:
         self._busy_seconds = 0.0
         self._num_rejected = 0
         self._num_errors = 0
-        self._num_worker_respawns = 0
         self._histograms: Dict[str, Histogram] = {}
         if histogram_buckets is not None:
             self._histograms[names.LATENCY_SECONDS] = Histogram(histogram_buckets)
             for stage in STAGE_NAMES:
                 self._histograms[f"stage_{stage}_seconds"] = Histogram(histogram_buckets)
-        # Per-worker shard accounting for the multi-process engine, keyed by
-        # worker id (pid); empty for single-process serving.
-        self._workers: Dict[str, Dict[str, float]] = {}
         # Query pairs answered per wire verb ("pair", "one_to_many", ...).
         self._verbs: Dict[str, int] = {}
         # Query pairs evaluated per kernel backend and operation, keyed
@@ -450,7 +408,7 @@ class ServerMetrics:
     ) -> None:
         """Record one processed batch.
 
-        ``seconds`` is the worker's evaluation time (feeds ``busy_fraction``).
+        ``seconds`` is the engine's evaluation time (feeds ``busy_fraction``).
         ``request_latencies`` are the *client-observed* per-request latencies
         — submission to completion, including queue wait and the coalescing
         window — and are what the reported percentiles describe.  When absent
@@ -492,25 +450,6 @@ class ServerMetrics:
                 for value in values:
                     histogram.observe(value)
 
-    def observe_shard(
-        self, worker: object, num_queries: int, seconds: float
-    ) -> None:
-        """Record one worker-process shard of a sharded batch.
-
-        ``worker`` is the worker's identity (its pid); per-worker counters
-        feed the ``worker_*`` aggregates and the ``workers`` breakdown of
-        :meth:`snapshot`, so a skewed pool (one slow or dead worker) is
-        visible on the serving dashboard.
-        """
-        with self._lock:
-            counters = self._workers.setdefault(
-                str(worker),
-                {"num_shards": 0, names.NUM_QUERIES: 0, names.FIELD_BUSY_SECONDS: 0.0},
-            )
-            counters["num_shards"] += 1
-            counters[names.NUM_QUERIES] += num_queries
-            counters[names.FIELD_BUSY_SECONDS] += seconds
-
     def observe_verb(self, verb: str, num_queries: int) -> None:
         """Record ``num_queries`` pairs answered under one wire verb.
 
@@ -541,11 +480,6 @@ class ServerMetrics:
         """Record one request that failed with an error."""
         with self._lock:
             self._num_errors += 1
-
-    def observe_worker_respawn(self) -> None:
-        """Record one rebuild of a broken sharded worker pool."""
-        with self._lock:
-            self._num_worker_respawns += 1
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -583,7 +517,6 @@ class ServerMetrics:
                 names.NUM_QUERIES: self._num_queries,
                 names.NUM_REJECTED: self._num_rejected,
                 names.NUM_ERRORS: self._num_errors,
-                names.NUM_WORKER_RESPAWNS: self._num_worker_respawns,
                 names.QPS: self._num_queries / elapsed,
                 names.BUSY_FRACTION: min(self._busy_seconds / elapsed, 1.0),
                 names.AVERAGE_BATCH_SIZE: (
@@ -592,18 +525,6 @@ class ServerMetrics:
             }
             for name, value in self._latencies.percentiles().items():
                 stats[f"latency_{name}_ms"] = value
-            if self._workers:
-                shard_queries = [w[names.NUM_QUERIES] for w in self._workers.values()]
-                stats[names.NUM_WORKERS] = len(self._workers)
-                stats[names.WORKER_QUERIES_MIN] = min(shard_queries)
-                stats[names.WORKER_QUERIES_MAX] = max(shard_queries)
-                stats[names.WORKER_BUSY_SECONDS_TOTAL] = sum(
-                    w[names.FIELD_BUSY_SECONDS] for w in self._workers.values()
-                )
-                stats["workers"] = {
-                    worker: dict(counters)
-                    for worker, counters in self._workers.items()
-                }
             if self._histograms:
                 stats["histograms"] = {
                     name: histogram.snapshot()
@@ -628,13 +549,10 @@ class ServerMetrics:
     def render(self, **snapshot_kwargs) -> str:
         """Human-readable multi-line rendering of :meth:`snapshot`.
 
-        Scalar statistics come first; the per-worker breakdown (if any) is
-        formatted as an aligned sub-table rather than a raw dict repr, and
-        histograms are summarised one line each (count/sum) instead of
-        dumping every bucket.
+        Scalar statistics come first; histograms are summarised one line each
+        (count/sum) instead of dumping every bucket.
         """
         stats = self.snapshot(**snapshot_kwargs)
-        workers = stats.pop("workers", None)
         histograms = stats.pop("histograms", None)
         verbs = stats.pop("verbs", None)
         kernel_ops = stats.pop("kernel_ops", None)
@@ -670,18 +588,6 @@ class ServerMetrics:
                     f"    {label:26s} {alert.get('alertstate', '?')}"
                     f" ({alert.get('severity', '?')})"
                 )
-        if workers:
-            lines.append("  workers")
-            header = f"    {'worker':>10s} {'shards':>8s} {'queries':>10s} {'busy_s':>10s}"
-            lines.append(header)
-            for worker in sorted(workers):
-                counters = workers[worker]
-                lines.append(
-                    f"    {worker:>10s} "
-                    f"{int(counters.get('num_shards', 0)):>8d} "
-                    f"{int(counters.get(names.NUM_QUERIES, 0)):>10d} "
-                    f"{counters.get(names.FIELD_BUSY_SECONDS, 0.0):>10.4f}"
-                )
         return "\n".join(lines)
 
     def render_json(self, **snapshot_kwargs) -> str:
@@ -701,8 +607,7 @@ def index_health_stats(engine, manager=None) -> Dict[str, object]:
     """Index-health gauges for the metrics endpoint, duck-typed off ``engine``.
 
     Inspects whatever the serving stack currently holds — a
-    :class:`~repro.serving.engine.BatchQueryEngine`, a
-    :class:`~repro.serving.sharded.ShardedQueryEngine`, or ``None`` — plus an
+    :class:`~repro.serving.engine.BatchQueryEngine` or ``None`` — plus an
     optional :class:`~repro.serving.snapshot.SnapshotManager`, and reports:
 
     * ``index_label_entries`` — total normal label entries in the served index,
@@ -710,8 +615,6 @@ def index_health_stats(engine, manager=None) -> Dict[str, object]:
     * ``index_num_vertices`` — vertices the served index covers (the
       denominator of the dirty-vertex-ratio alert rule),
     * ``index_dirty_vertices`` — shadow vertices dirtied since the last publish,
-    * ``generation_name`` / ``generation_bytes`` — identity and size of the
-      shared-memory generation backing the snapshot (shared deployments only),
     * ``kernel_name`` / ``kernel_narrow`` — the batch kernel's key layout
       (``"narrow"`` for ``uint32`` keys, else ``"wide"``).
 
@@ -738,12 +641,6 @@ def index_health_stats(engine, manager=None) -> Dict[str, object]:
         dirty = getattr(manager, "dirty_vertex_count", None)
         if dirty is not None:
             stats[names.INDEX_DIRTY_VERTICES] = int(dirty)
-        generation = getattr(getattr(manager, "current", None), "generation", None)
-        if generation is not None:
-            stats["generation_name"] = generation.name
-            backend = getattr(generation, "backend", None)
-            if backend is not None:
-                stats[names.GENERATION_BYTES] = int(backend.nbytes())
     # reprolint: disable=RL008 -- the engine *method* name, not the series
     kernel_info = getattr(engine, "kernel_info", None)
     if callable(kernel_info):

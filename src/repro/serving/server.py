@@ -100,11 +100,8 @@ class QueryServer:
     backend:
         Either a :class:`~repro.serving.snapshot.SnapshotManager` (queries are
         answered against whatever snapshot is current when a batch starts —
-        the hot-swap path), a bare
-        :class:`~repro.serving.engine.BatchQueryEngine` (static index), or a
-        :class:`~repro.serving.sharded.ShardedQueryEngine` (multi-process
-        serving; when it wraps a shared snapshot manager, the mutation API
-        and hot swap work exactly as with a manager backend).
+        the hot-swap path) or a bare
+        :class:`~repro.serving.engine.BatchQueryEngine` (static index).
     cache:
         Optional hot-pair :class:`~repro.serving.cache.LRUCache`; hits skip
         the engine entirely.
@@ -443,9 +440,8 @@ def warm_cache(engine, cache: LRUCache, pairs, *, batch_size: int = 8192) -> dic
     ``cache.stats``, which keeps the serving metrics honest about how the
     cache got warm).
 
-    ``engine`` is anything with ``query_batch`` — a
-    :class:`~repro.serving.engine.BatchQueryEngine` or a
-    :class:`~repro.serving.sharded.ShardedQueryEngine`.  Returns a summary
+    ``engine`` is anything with ``query_batch``, such as a
+    :class:`~repro.serving.engine.BatchQueryEngine`.  Returns a summary
     dict: ``pairs``, ``hits``, ``misses``, ``hit_rate``, ``cached`` (entries
     now resident) and ``seconds``.
     """

@@ -33,12 +33,7 @@ from typing import Callable, Iterable, Optional, Tuple, Union
 
 from repro.core.dynamic import DynamicPrunedLandmarkLabeling
 from repro.core.index import PrunedLandmarkLabeling
-from repro.core.serialization import export_index_to_backend, load_index
-from repro.core.storage import (
-    SharedGeneration,
-    SharedMemoryBackend,
-    new_shared_prefix,
-)
+from repro.core.serialization import load_index
 from repro.errors import ServingError
 from repro.graph.csr import Graph
 from repro.serving.engine import BatchQueryEngine
@@ -60,10 +55,6 @@ class IndexSnapshot:
     published_at: float = field(default_factory=time.time)
     #: Human-readable provenance ("initial build", "update batch", file path, ...).
     source: str = ""
-    #: The named shared-memory generation backing this snapshot's arrays,
-    #: when the manager publishes shared snapshots (``None`` otherwise).
-    #: Worker processes attach it by :attr:`SharedGeneration.name`.
-    generation: Optional[SharedGeneration] = None
 
     @property
     def index(self) -> PrunedLandmarkLabeling:
@@ -97,7 +88,6 @@ class SnapshotManager:
         shadow: Optional[DynamicPrunedLandmarkLabeling] = None,
         shadow_factory: Optional[Callable[[], DynamicPrunedLandmarkLabeling]] = None,
         source: str = "initial build",
-        shared: bool = False,
     ) -> None:
         # Reentrant: _require_shadow may build the shadow lazily while the
         # caller (insert_edge/publish) already holds the lock.
@@ -105,21 +95,8 @@ class SnapshotManager:
         self._shadow = shadow
         self._shadow_factory = shadow_factory
         self._pending_updates = 0
-        self._shared = bool(shared)
-        self._shared_prefix = new_shared_prefix() if self._shared else None
-        generation = None
-        if self._shared:
-            _, generation = self._export_generation(
-                lambda backend: export_index_to_backend(
-                    initial, backend, source=source
-                ),
-                version=1,
-            )
         self._current = IndexSnapshot(
-            engine=BatchQueryEngine(initial),
-            version=1,
-            source=source,
-            generation=generation,
+            engine=BatchQueryEngine(initial), version=1, source=source
         )
 
     # ------------------------------------------------------------------ #
@@ -133,18 +110,15 @@ class SnapshotManager:
         *,
         ordering: str = "degree",
         seed: int = 0,
-        shared: bool = False,
     ) -> "SnapshotManager":
         """Build a writable manager: shadow dynamic index plus initial snapshot."""
         shadow = DynamicPrunedLandmarkLabeling(ordering=ordering, seed=seed).build(
             graph
         )
-        return cls(shadow.freeze(), shadow=shadow, shared=shared)
+        return cls(shadow.freeze(), shadow=shadow)
 
     @classmethod
-    def from_index(
-        cls, index: PrunedLandmarkLabeling, *, shared: bool = False
-    ) -> "SnapshotManager":
+    def from_index(cls, index: PrunedLandmarkLabeling) -> "SnapshotManager":
         """Wrap an already-built index.
 
         The manager is writable when the index still carries its graph (a
@@ -163,59 +137,8 @@ class SnapshotManager:
                     ordering=ordering, seed=seed
                 ).build(graph)
 
-            return cls(index, shadow_factory=build_shadow, shared=shared)
-        return cls(index, shadow=None, shared=shared)
-
-    # ------------------------------------------------------------------ #
-    # Shared-memory generations
-    # ------------------------------------------------------------------ #
-
-    @property
-    def shared(self) -> bool:
-        """Whether snapshots are published as named shared-memory generations."""
-        return self._shared
-
-    def _new_generation_backend(self, version: int) -> SharedMemoryBackend:
-        return SharedMemoryBackend.create(f"{self._shared_prefix}-g{version}")
-
-    def _export_generation(self, export, version: int):
-        """Run ``export(backend)`` into a fresh generation; unlink on failure.
-
-        A freeze or export that raises halfway (e.g. ``/dev/shm`` filling up
-        mid-copy) must not strand the partial generation's segments for the
-        server's lifetime — a transient shortage would otherwise compound
-        with every retried publish.
-        """
-        backend = self._new_generation_backend(version)
-        try:
-            result = export(backend)
-        except BaseException:
-            backend.unlink()
-            raise
-        return result, SharedGeneration(backend)
-
-    def _swap(self, snapshot: IndexSnapshot) -> None:
-        """Install ``snapshot`` and retire the superseded generation (if any).
-
-        Retirement is refcounted (:class:`~repro.core.storage.SharedGeneration`):
-        the old generation's segments are unlinked immediately when no worker
-        batch is in flight on it, or by the last such reader's release —
-        in-flight batches always finish on the generation they started on.
-        """
-        previous = self._current
-        self._current = snapshot
-        if previous.generation is not None:
-            previous.generation.retire()
-
-    def close(self) -> None:
-        """Retire and unlink the current shared generation (shutdown path).
-
-        A no-op for non-shared managers.  The manager must not be published
-        to afterwards.
-        """
-        with self._write_lock:
-            if self._current.generation is not None:
-                self._current.generation.retire()
+            return cls(index, shadow_factory=build_shadow)
+        return cls(index, shadow=None)
 
     # ------------------------------------------------------------------ #
     # Read path (lock free)
@@ -224,16 +147,18 @@ class SnapshotManager:
     @property
     def current(self) -> IndexSnapshot:
         """The currently published snapshot (a single atomic attribute read)."""
-        return self._current
+        # Writers swap the snapshot under the write lock; readers never take
+        # it: the swap is one reference assignment (read-copy-update).
+        return self._current  # reprolint: disable=RL001 -- lock-free RCU read
 
     @property
     def version(self) -> int:
         """Version number of the current snapshot."""
-        return self._current.version
+        return self.current.version
 
     def query(self, s: int, t: int) -> float:
         """Convenience scalar query against the current snapshot."""
-        return self._current.engine.query(s, t)
+        return self.current.engine.query(s, t)
 
     # ------------------------------------------------------------------ #
     # Write path
@@ -319,21 +244,7 @@ class SnapshotManager:
         shadow = self._require_shadow()
         with self._write_lock:
             patched = len(shadow.dirty_vertices)
-            generation = None
-            if self._shared:
-                # The freeze patches the dirty label/kernel segments directly
-                # into the next generation's shared-memory region; the rest
-                # of the export only fills in what freeze did not write.
-                def freeze_into(backend):
-                    frozen = shadow.freeze(diff=diff, backend=backend)
-                    export_index_to_backend(frozen, backend, source="publish")
-                    return frozen
-
-                frozen, generation = self._export_generation(
-                    freeze_into, version=self._current.version + 1
-                )
-            else:
-                frozen = shadow.freeze(diff=diff)
+            frozen = shadow.freeze(diff=diff)
             applied = self._pending_updates
             self._pending_updates = 0
             snapshot = IndexSnapshot(
@@ -343,9 +254,8 @@ class SnapshotManager:
                     f"publish ({applied} pending updates applied, "
                     f"{patched} vertex labels patched)"
                 ),
-                generation=generation,
             )
-            self._swap(snapshot)
+            self._current = snapshot
         return snapshot
 
     def reload(self, path: Union[str, os.PathLike]) -> IndexSnapshot:
@@ -358,19 +268,10 @@ class SnapshotManager:
         """
         index = load_index(path)
         with self._write_lock:
-            generation = None
-            if self._shared:
-                _, generation = self._export_generation(
-                    lambda backend: export_index_to_backend(
-                        index, backend, source=str(path)
-                    ),
-                    version=self._current.version + 1,
-                )
             snapshot = IndexSnapshot(
                 engine=BatchQueryEngine(index),
                 version=self._current.version + 1,
                 source=str(path),
-                generation=generation,
             )
-            self._swap(snapshot)
+            self._current = snapshot
         return snapshot

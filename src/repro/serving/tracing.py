@@ -1,20 +1,19 @@
 """End-to-end request tracing: spans, trace ring buffers, slow-query log.
 
 When a serving P99 spikes, a latency *histogram* says how bad it is but not
-where the time went — queue wait, the coalescing window, the kernel, a skewed
-shard, a pool respawn.  This module follows every request through its whole
-life instead:
+where the time went — queue wait, the coalescing window, the cache probe, the
+kernel.  This module follows every request through its whole life instead:
 
 * A **trace id** is minted at admission (:meth:`TraceRecorder.start`), before
   the request ever touches the batching queue, so a request can be correlated
   across log lines from the moment it exists.
 * **Spans** are recorded as the request moves through the pipeline — queue
-  wait, the coalescing window, the cache probe, the kernel (or one span per
-  worker-process shard, stitched into every parent trace the batch served),
-  and the reply write.  A span is just a name, a duration and a few
-  attributes; recording one is an object construction and a list append, so
-  instrumentation is cheap enough to leave on in production (see
-  ``benchmarks/bench_observability.py`` for the measured overhead).
+  wait, the coalescing window, the cache probe, the kernel (one span object
+  stitched into every trace the batch served), and the reply write.  A span
+  is just a name, a duration and a few attributes; recording one is an
+  object construction and a list append, so instrumentation is cheap enough
+  to leave on in production (see ``benchmarks/bench_observability.py`` for
+  the measured overhead).
 * Completed traces land in a **bounded ring buffer** of recent traces, and —
   when a slow threshold is configured (``serve --slow-ms``) — traces over the
   threshold land in a second ring buffer and are emitted through the
@@ -23,8 +22,8 @@ life instead:
 * :class:`StructuredLogger` is the JSON logging helper behind
   ``serve --log-json``: one JSON object per line (timestamp, event name,
   component, free-form fields), shared by the blocking facade, the asyncio
-  front end, the sharded engine and the CLI so operational events are
-  machine-parseable across the whole stack.
+  front end and the CLI so operational events are machine-parseable across
+  the whole stack.
 
 :class:`NullTraceRecorder` is the no-op drop-in (``start`` returns ``None``,
 everything else does nothing) used to measure instrumentation overhead and to
@@ -51,8 +50,7 @@ __all__ = [
     "make_trace_id",
 ]
 
-#: Per-process prefix so trace ids stay unique across server restarts and
-#: across the processes of a sharded deployment.
+#: Per-process prefix so trace ids stay unique across server restarts.
 _TRACE_PREFIX = f"{os.getpid() & 0xFFFF:04x}{int(time.time()) & 0xFFFF:04x}"
 _TRACE_COUNTER = itertools.count(1)
 
@@ -70,10 +68,10 @@ def make_trace_id() -> str:
 class Span:
     """One timed stage of a request's life: a name, a duration, attributes.
 
-    Attributes are free-form (worker pid, pair counts, cache hits); they ride
+    Attributes are free-form (pair counts, cache hits); they ride
     along into the JSON rendering.  Spans are value objects shared freely
     between the traces of a coalesced batch — every request in a batch gets
-    the *same* kernel/shard span objects, which is exactly the semantics
+    the *same* kernel span objects, which is exactly the semantics
     (they shared that engine call).
     """
 
@@ -115,7 +113,7 @@ class Trace:
         self.spans.append(Span(name, seconds if seconds > 0.0 else 0.0, **attrs))
 
     def extend(self, spans: Iterable[Span]) -> None:
-        """Attach already-built spans (the batch-shared cache/kernel/shard spans)."""
+        """Attach already-built spans (the batch-shared cache/kernel spans)."""
         self.spans.extend(spans)
 
     def as_dict(self) -> Dict[str, object]:
@@ -269,7 +267,7 @@ class StructuredLogger:
 
     Every event line carries ``ts`` (epoch seconds), ``event`` and
     ``component`` plus the caller's fields, so the whole serving stack —
-    blocking facade, asyncio front end, sharded engine, CLI — emits logs a
+    blocking facade, asyncio front end, CLI — emits logs a
     pipeline can parse without per-module regexes.  Writes are serialised
     under a lock (lines from concurrent threads never interleave) and
     non-JSON-serialisable field values degrade to ``repr`` instead of

@@ -88,8 +88,10 @@ def test_select_scopes_the_run(project):
 def test_list_rules_names_all_rules():
     code, output = _run(["--list-rules"])
     assert code == EXIT_OK
-    for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
+    for rule_id in ("RL001", "RL002", "RL004", "RL005", "RL006", "RL007", "RL008"):
         assert rule_id in output
+    # RL003 (shared-memory lifecycle) is retired; its id is not reused.
+    assert "RL003" not in output
 
 
 def test_unparsable_file_fails_the_run(project):
@@ -195,7 +197,6 @@ def test_json_report_schema(project):
     assert set(payload["rules"]) == {
         "RL001",
         "RL002",
-        "RL003",
         "RL004",
         "RL005",
         "RL006",

@@ -24,7 +24,6 @@ def test_all_rules_registered():
     assert ids == [
         "RL001",
         "RL002",
-        "RL003",
         "RL004",
         "RL005",
         "RL006",
@@ -263,89 +262,6 @@ def test_rl002_suppression():
             time.sleep(0.1)
         """,
         rule="RL002",
-    )
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# RL003 — shared-memory lifecycle
-# ---------------------------------------------------------------------------
-
-
-def test_rl003_flags_unowned_allocation():
-    findings = _lint(
-        """
-        from multiprocessing import shared_memory
-
-        def leak(nbytes, payload):
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            shm.buf[: len(payload)] = payload
-        """,
-        rule="RL003",
-    )
-    assert len(findings) == 1
-    assert findings[0].symbol == "leak"
-    assert "may leak" in findings[0].message
-
-
-def test_rl003_clean_ownership_patterns():
-    findings = _lint(
-        """
-        from multiprocessing import shared_memory
-
-        def ctx(nbytes):
-            with shared_memory.SharedMemory(create=True, size=nbytes) as shm:
-                return bytes(shm.buf)
-
-        def transfer(nbytes):
-            return shared_memory.SharedMemory(create=True, size=nbytes)
-
-        def tryfinally(nbytes):
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            try:
-                return bytes(shm.buf)
-            finally:
-                shm.close()
-
-        def refcounted(nbytes):
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            return SharedGeneration([shm])
-
-        class Store:
-            def attach(self, name):
-                self._segments[name] = shared_memory.SharedMemory(name=name)
-        """,
-        rule="RL003",
-    )
-    assert findings == []
-
-
-def test_rl003_exception_path_without_finally_is_flagged():
-    # close() on the happy path only — the exception path still leaks.
-    findings = _lint(
-        """
-        from multiprocessing import shared_memory
-
-        def risky(nbytes, payload):
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            shm.buf[: len(payload)] = payload
-            shm.close()
-        """,
-        rule="RL003",
-    )
-    assert len(findings) == 1
-
-
-def test_rl003_suppression():
-    findings = _lint(
-        """
-        from multiprocessing import shared_memory
-
-        def leak(nbytes):
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)  # reprolint: disable=RL003
-            return shm.name
-        """,
-        rule="RL003",
     )
     assert findings == []
 

@@ -138,18 +138,42 @@ class TestServeCommand:
         assert "serving" in captured.err
         assert "served" in captured.err
 
-    def test_serve_sharded_workers(self, index_path, capsys, monkeypatch):
-        import io
+    def test_serve_rejects_removed_sharding_flags(self, index_path, capsys):
+        # One process serves: the multi-process flags are unknown arguments
+        # to argparse (exit 2), never silently ignored.
+        for flags in (["--workers", "2"], ["--min-shard-size", "4"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", str(index_path), *flags])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("0 5\nSTATS\nQUIT\n"))
-        assert main(["serve", str(index_path), "--workers", "2"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.splitlines()[0].startswith("0\t5\t")
-        assert "workers=2" in captured.err
+    def test_serve_sigterm_unwinds_and_restores_handler(self, index_path, monkeypatch):
+        """SIGTERM during serve raises SystemExit(143), so the caller's
+        finally blocks run (perfbench writes its --spans/--peak files from
+        one), and the caller's own SIGTERM handler is back afterwards."""
+        import signal
+        import time
 
-    def test_serve_rejects_bad_worker_count(self, index_path, capsys):
-        assert main(["serve", str(index_path), "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
+        import repro.cli as cli
+
+        def terminated(*_args, **_kwargs):
+            signal.raise_signal(signal.SIGTERM)
+            time.sleep(1.0)  # the handler raises before this returns
+            return 0
+
+        monkeypatch.setattr(cli, "_serve_front_end", terminated)
+
+        def caller_handler(signum, frame):
+            raise AssertionError("serve's own SIGTERM handler was bypassed")
+
+        previous = signal.signal(signal.SIGTERM, caller_handler)
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", str(index_path)])
+            assert excinfo.value.code == 143
+            assert signal.getsignal(signal.SIGTERM) is caller_handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_serve_missing_index(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.npz")]) == 2

@@ -6,7 +6,7 @@ scalar two-pointer merge (:func:`~repro.core.query.merge_join_query`), an
 interpreted loop or ``index.distance`` returns, for both key widths
 (``uint32`` and ``int64``), both sum widths (``uint16`` and ``int32``),
 empty labels, ``s == t``, disconnected graphs, and indexes with and without
-bit-parallel labels.  Stored generations keep one key array in the rule's
+bit-parallel labels.  Stored raw files keep one key array in the rule's
 width, and files written with the earlier layout (``int64`` keys plus five
 derived arrays) still load and answer identically.
 """
@@ -32,9 +32,9 @@ from repro.core.kernels import (
 )
 from repro.core.labels import LabelSet
 from repro.core.query import merge_join_query
-from repro.core.serialization import index_from_backend, index_to_arrays, load_index, save_index
+from repro.core.serialization import index_to_arrays, load_index, save_index
 from repro.graph.csr import Graph
-from repro.serving import BatchQueryEngine, SnapshotManager
+from repro.serving import BatchQueryEngine
 
 #: The smallest vertex count whose keys need ``int64``: ``n * n - 1 >= 2**32``.
 WIDE_N = 2**16 + 1
@@ -323,27 +323,6 @@ def _stored_fields(path) -> Dict[str, np.dtype]:
 
 
 class TestLayoutMetadata:
-    def test_sharded_attach_adopts_published_plan(self, small_social_graph):
-        """A shared generation stores one key array; attaching workers use it."""
-        manager = SnapshotManager.from_graph(small_social_graph, shared=True)
-        try:
-            published = manager.current.engine.index
-            backend = manager.current.generation.backend
-            fields = set(backend.fields())
-            assert "kernel_keys" in fields and not set(LEGACY_FIELDS) & fields
-            attached = index_from_backend(backend)
-            attached_keys = attached.prepare_batch_kernel().keys
-            assert attached_keys.dtype == np.uint32
-            assert np.shares_memory(attached_keys, backend.get("kernel_keys"))
-            rng = np.random.default_rng(4)
-            pairs = rng.integers(0, small_social_graph.num_vertices, size=(200, 2))
-            assert (
-                attached.distance_batch(pairs[:, 0], pairs[:, 1]).tobytes()
-                == published.distance_batch(pairs[:, 0], pairs[:, 1]).tobytes()
-            )
-        finally:
-            manager.close()
-
     def test_raw_round_trip_preserves_plan(self, tmp_path, small_social_graph):
         index = PrunedLandmarkLabeling(num_bit_parallel_roots=4).build(small_social_graph)
         path = tmp_path / "index.pll"

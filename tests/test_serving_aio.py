@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from repro.serving import (
     BatchQueryEngine,
     LRUCache,
     ServerMetrics,
-    ShardedQueryEngine,
     SnapshotManager,
 )
 from tests.conftest import sample_pairs
@@ -100,11 +98,11 @@ class TestFrontendQueries:
         assert lines[2] == "9\t9\t0"
 
     def test_engine_timeout_answers_error_line(self, engine, monkeypatch):
-        """A wedged backend (shard timeout) answers an error line, exactly
-        like the threaded server — it must not kill the session."""
+        """A wedged backend (engine timeout) answers an error line — it must
+        not kill the session."""
 
         def wedged(*_args, **_kwargs):
-            raise TimeoutError("worker shard did not complete in time")
+            raise TimeoutError("engine call did not complete in time")
 
         monkeypatch.setattr(engine, "query_batch", wedged)
 
@@ -116,7 +114,7 @@ class TestFrontendQueries:
             return reply
 
         reply = run(scenario())
-        assert reply.startswith("error: worker shard")
+        assert reply.startswith("error: engine call")
 
     def test_out_of_range_vertex_answers_error_line(self, engine):
         async def scenario():
@@ -312,28 +310,16 @@ class TestHttpAdminPlane:
         assert "error" in json.loads(body)
 
 
-def _segment_names(prefix: str):
-    shm = Path("/dev/shm")
-    if not shm.exists():
-        return None
-    return sorted(p.name for p in shm.iterdir() if p.name.startswith(prefix))
-
-
 class TestGracefulShutdownUnderLoad:
     def test_every_client_gets_reply_or_clean_error_and_no_leaks(
         self, small_social_graph
     ):
         """Drain with in-flight queries: every client sees a response or a
-        clean ``error:`` line (never a hang or a torn reply), and no
-        shared-memory generation outlives the stack."""
+        clean ``error:`` line, never a hang or a torn reply."""
         num_clients = 24
         queries_per_client = 30
 
-        manager = SnapshotManager.from_graph(small_social_graph, shared=True)
-        generation_name = manager.current.generation.name
-        engine = ShardedQueryEngine(
-            manager, num_workers=2, min_shard_size=4, local_threshold=0
-        )
+        manager = SnapshotManager.from_graph(small_social_graph)
         outcomes = []
 
         async def client(host, port, index):
@@ -365,7 +351,7 @@ class TestGracefulShutdownUnderLoad:
 
         async def scenario():
             frontend = AsyncQueryFrontend(
-                engine, batch_timeout=0.005, metrics=ServerMetrics()
+                manager, batch_timeout=0.005, metrics=ServerMetrics()
             )
             await frontend.start()
             await frontend.start_tcp()
@@ -381,11 +367,7 @@ class TestGracefulShutdownUnderLoad:
             await asyncio.wait_for(asyncio.gather(*tasks), timeout=30)
             return frontend.metrics_snapshot()
 
-        try:
-            stats = asyncio.run(scenario())
-        finally:
-            engine.close()
-            manager.close()
+        stats = asyncio.run(scenario())
 
         assert len(outcomes) == num_clients
         assert all(not torn for _replies, _errors, torn in outcomes)
@@ -393,9 +375,6 @@ class TestGracefulShutdownUnderLoad:
         # was left hanging (gather returned within the timeout).
         assert sum(replies for replies, _errors, _torn in outcomes) > 0
         assert stats["num_queries"] > 0
-        segments = _segment_names(generation_name.split("-g")[0])
-        if segments is not None:
-            assert segments == [], "shared-memory generations leaked past close"
 
     def test_drain_completes_with_idle_admin_connection(self, engine):
         """An admin connection that never sends a request must not hold the
@@ -518,61 +497,6 @@ class TestTracesAndDebugSurface:
         assert zero_status == 200
         assert json.loads(zero_body)["recent"] == []
 
-    def test_sharded_query_trace_stitches_worker_spans(self, small_social_graph):
-        """The acceptance path: a query answered by the multi-process engine
-        leaves one trace showing queue, batch and per-worker shard spans."""
-        manager = SnapshotManager.from_graph(small_social_graph, shared=True)
-        engine = ShardedQueryEngine(
-            manager, num_workers=2, min_shard_size=4, local_threshold=0
-        )
-
-        async def scenario():
-            frontend = AsyncQueryFrontend(engine, batch_timeout=0.005)
-            await frontend.start()
-            await frontend.start_http()
-            http_host, http_port = frontend.http_address
-            # One 16-pair request: big enough that the sharded engine splits
-            # it into two shards instead of answering inline.
-            distances = await frontend.submit(sources, targets)
-            traces = await _http_request(http_host, http_port, "GET", "/traces")
-            await frontend.stop()
-            return distances, traces
-
-        pairs = sample_pairs(small_social_graph, 16, seed=11)
-        sources, targets = [s for s, _ in pairs], [t for _, t in pairs]
-        try:
-            distances, (status, body) = run(scenario())
-            expected = manager.current.engine.query_batch(sources, targets)
-        finally:
-            engine.close()
-            manager.close()
-
-        assert np.array_equal(distances, expected)
-
-        assert status == 200
-        payload = json.loads(body)
-        assert payload["num_recorded"] >= 1
-        # At least one trace fanned out across the pool: its shard spans name
-        # the worker pids that served it, stitched under the parent trace id.
-        stitched = [
-            trace
-            for trace in payload["recent"]
-            if [s for s in trace["spans"] if s["name"] == "shard"]
-        ]
-        assert stitched, "no trace carried worker shard spans"
-        trace = stitched[0]
-        span_names = [s["name"] for s in trace["spans"]]
-        assert "queue" in span_names and "batch" in span_names
-        # One shard span per shard of the 16-pair batch, each naming the
-        # worker pid that served it (one worker may serve both: the pool's
-        # scheduling is the OS's), with the shard pair counts covering it.
-        shard_spans = [s for s in trace["spans"] if s["name"] == "shard"]
-        assert len(shard_spans) == 2
-        assert sum(span["pairs"] for span in shard_spans) == 16
-        for span in shard_spans:
-            assert span["worker"] > 0
-            assert span["pairs"] >= 1 and span["ms"] >= 0.0
-
     def test_debug_threads_dumps_all_stacks(self, engine):
         async def scenario():
             frontend = AsyncQueryFrontend(engine)
@@ -641,7 +565,7 @@ class TestTracesAndDebugSurface:
 
     def test_metrics_exposes_index_health_and_histograms(self, small_social_graph):
         async def scenario():
-            manager = SnapshotManager.from_graph(small_social_graph, shared=True)
+            manager = SnapshotManager.from_graph(small_social_graph)
             frontend = AsyncQueryFrontend(manager)
             await frontend.start()
             await frontend.start_tcp()
@@ -651,7 +575,6 @@ class TestTracesAndDebugSurface:
             await _send_lines(host, port, "0 5\nadd 0 199\nQUIT\n")
             status, body = await _http_request(http_host, http_port, "GET", "/metrics")
             await frontend.stop()
-            manager.close()
             return status, body
 
         status, body = run(scenario())
@@ -660,8 +583,6 @@ class TestTracesAndDebugSurface:
         assert "repro_pll_index_bit_parallel_roots " in body
         # One pending shadow mutation since the last publish.
         assert "repro_pll_index_dirty_vertices 1" in body
-        assert "repro_pll_generation_bytes " in body
-        assert 'repro_pll_generation_info{name="' in body
         # True histogram series for end-to-end latency and every stage.
         assert "# TYPE repro_pll_latency_seconds histogram" in body
         assert 'repro_pll_latency_seconds_bucket{le="+Inf"} 1' in body

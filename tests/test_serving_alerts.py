@@ -133,7 +133,7 @@ class _SLOBreachScript:
 class TestDefaultAlertRules:
     def test_rule_names_unique_and_engine_constructs(self):
         rules = default_alert_rules()
-        assert len({rule.name for rule in rules}) == len(rules) == 8
+        assert len({rule.name for rule in rules}) == len(rules) == 7
         HealthEngine(rules)  # must not raise
 
     def test_burn_rule_threshold_is_a_histogram_bound(self):

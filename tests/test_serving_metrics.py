@@ -105,12 +105,6 @@ class TestServerMetrics:
         parsed = json.loads(metrics.render_json())
         assert parsed["num_queries"] == 1
 
-    def test_worker_respawns_counted(self):
-        metrics = ServerMetrics()
-        assert metrics.snapshot()["num_worker_respawns"] == 0
-        metrics.observe_worker_respawn()
-        metrics.observe_worker_respawn()
-        assert metrics.snapshot()["num_worker_respawns"] == 2
 
 
 class TestPrometheusRendering:
@@ -156,33 +150,14 @@ class TestPrometheusRendering:
         assert types["repro_pll_qps"] == "gauge"
         assert types["repro_pll_latency_seconds"] == "histogram"
 
-    def test_workers_become_labelled_series(self):
-        metrics = ServerMetrics()
-        metrics.observe_shard(1234, num_queries=10, seconds=0.001)
-        metrics.observe_shard(5678, num_queries=4, seconds=0.002)
-        body = metrics.render_prometheus()
-        assert 'repro_pll_worker_queries{worker="1234"} 10' in body
-        assert 'repro_pll_worker_queries{worker="5678"} 4' in body
-        # busy_seconds only accumulates, so it must be typed counter (PromQL
-        # rate() refuses gauges).
-        assert "# TYPE repro_pll_worker_busy_seconds counter" in body
-        assert "# TYPE repro_pll_worker_queries counter" in body
-
     def test_non_numeric_values_are_skipped(self):
         body = render_prometheus_text({"name": "server-1", "num_queries": 2})
         assert "server-1" not in body
         assert "repro_pll_num_queries 2" in body
 
     def test_counters_declared_counter(self):
-        for key in ("num_queries", "num_errors", "num_worker_respawns"):
+        for key in ("num_queries", "num_errors"):
             assert key in PROMETHEUS_COUNTERS
-
-    def test_generation_info_labelled_gauge(self):
-        body = render_prometheus_text(
-            {"generation_name": "gen-3f2a", "generation_bytes": 4096}
-        )
-        assert 'repro_pll_generation_info{name="gen-3f2a"} 1' in body
-        assert "repro_pll_generation_bytes 4096" in body
 
     def test_full_body_passes_exposition_grammar(self):
         metrics = ServerMetrics()
@@ -195,7 +170,6 @@ class TestPrometheusRendering:
         metrics.observe_stages(
             {"queue": [0.0001, 0.0002], "kernel": [0.002], "cache_probe": [0.00005]}
         )
-        metrics.observe_shard(4321, num_queries=8, seconds=0.002)
         body = metrics.render_prometheus(
             cache_stats=CacheStats(hits=1, misses=3), snapshot_version=2
         )
@@ -281,23 +255,6 @@ class TestRenderFormatting:
         metrics.observe_batch(num_queries=7, num_requests=2, seconds=0.001)
         assert metrics.num_queries == 7
 
-    def test_render_workers_aligned_table(self):
-        metrics = ServerMetrics()
-        metrics.observe_shard(1234, num_queries=10, seconds=0.5)
-        metrics.observe_shard(98765, num_queries=4, seconds=0.25)
-        text = metrics.render()
-        assert "{" not in text  # no raw dict repr
-        lines = text.splitlines()
-        header_idx = lines.index("  workers") + 1
-        header = lines[header_idx]
-        assert header.split() == ["worker", "shards", "queries", "busy_s"]
-        rows = lines[header_idx + 1 : header_idx + 3]
-        assert rows[0].split() == ["1234", "1", "10", "0.5000"]
-        assert rows[1].split() == ["98765", "1", "4", "0.2500"]
-        # Columns line up: every value ends at its header's column.
-        for row in rows:
-            assert len(row) == len(header)
-
     def test_render_histograms_summarised(self):
         metrics = ServerMetrics()
         metrics.observe_batch(num_queries=1, num_requests=1, seconds=0.001)
@@ -360,11 +317,18 @@ class TestProcessResourceGauges:
     def test_gc_monitor_adds_pause_series(self):
         import gc
 
-        from repro.obs.resources import enable_gc_monitor
+        from repro.obs import resources
 
-        enable_gc_monitor()
-        gc.collect()
-        stats = ServerMetrics().snapshot()
+        # The hook is process-wide: leave it as found, or tests that count
+        # gc.callbacks (serve --gc-monitor) fail whenever they run after us.
+        was_enabled = resources._MONITOR_ENABLED
+        resources.enable_gc_monitor()
+        try:
+            gc.collect()
+            stats = ServerMetrics().snapshot()
+        finally:
+            if not was_enabled:
+                resources.disable_gc_monitor()
         assert stats["gc_pauses_total"] >= 1
         assert stats["gc_pause_seconds_total"] >= 0.0
 

@@ -155,10 +155,10 @@ class TestStructuredLogger:
     def test_child_shares_stream_with_new_component(self):
         stream = io.StringIO()
         parent = StructuredLogger(stream, component="cli")
-        child = parent.child("sharded")
-        child.event("respawn")
+        child = parent.child("server")
+        child.event("snapshot_publish")
         record = json.loads(stream.getvalue())
-        assert record["component"] == "sharded"
+        assert record["component"] == "server"
 
     def test_unserialisable_values_degrade_to_repr(self):
         stream = io.StringIO()
