@@ -44,7 +44,7 @@ _SCOPED_SUFFIXES = ("serving/metrics.py", "serving/alerts.py", "obs/health.py")
 
 #: Prometheus-flavoured metric-name shape: ``lower_snake`` plus a unit/kind
 #: suffix this codebase actually uses.  Deliberately narrower than the full
-#: Prometheus grammar — structural dict keys ("buckets", "num_shards") must
+#: Prometheus grammar — structural dict keys ("buckets", "verbs") must
 #: not trip it.
 _METRIC_GRAMMAR = re.compile(
     r"^[a-z][a-z0-9_]*_(total|seconds|bytes|ms|fds|rate|fraction)$"

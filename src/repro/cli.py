@@ -90,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
         "index",
         nargs="?",
         default=None,
-        help="path to a saved .npz index (or use --edge-list to build one)",
+        help=(
+            "path to a saved index, .npz or raw layout such as graph.pll "
+            "(or use --edge-list to build one)"
+        ),
     )
     serve.add_argument(
         "--edge-list",
@@ -148,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "emit operational events (startup, listeners, replay/warm "
-            "summaries, worker respawns, publishes, shutdown) as one JSON "
+            "summaries, publishes, shutdown) as one JSON "
             "object per stderr line instead of human-readable text"
         ),
     )
@@ -215,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "how often the health engine evaluates its alert rules (latency "
             "SLO burn rate, error rate, cache collapse, event-loop lag, GC "
-            "pauses, worker respawns, dirty-vertex ratio, shadow mismatches) "
+            "pauses, dirty-vertex ratio, shadow mismatches) "
             "against a metrics snapshot; 0 disables the engine (default: 5)"
         ),
     )

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import IndexBuildError
 from repro.graph.csr import Graph
+from repro.graph.traversal import frontier_edges
 
 __all__ = [
     "BP_INF",
@@ -156,24 +157,6 @@ class BitParallelLabels:
         )
 
 
-def _frontier_edges(
-    indptr: np.ndarray, adj: np.ndarray, frontier: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All (origin, target) pairs with origin in the frontier."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=adj.dtype),
-        )
-    base = np.repeat(starts, counts)
-    within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    origins = np.repeat(frontier, counts)
-    return origins, adj[base + within]
-
-
 def bit_parallel_bfs(
     graph: Graph,
     root: int,
@@ -234,7 +217,7 @@ def bit_parallel_bfs(
     pending_next = np.array(sorted(set(sub_roots)), dtype=np.int64)
 
     while frontier.size:
-        origins, targets = _frontier_edges(indptr, adj, frontier)
+        origins, targets = frontier_edges(indptr, adj, frontier)
         if origins.size:
             target_dist = dist[targets]
 

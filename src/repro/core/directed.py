@@ -23,6 +23,7 @@ from repro.core.labels import INF_DISTANCE, LabelAccumulator, LabelSet, intersec
 from repro.errors import IndexBuildError, IndexStateError
 from repro.graph.csr import Graph
 from repro.graph.ordering import compute_order
+from repro.graph.traversal import frontier_neighbors
 
 __all__ = ["DirectedPrunedLandmarkLabeling"]
 
@@ -159,14 +160,7 @@ class DirectedPrunedLandmarkLabeling:
             if not survivors:
                 break
             survivor_array = np.asarray(survivors, dtype=np.int64)
-            starts = indptr[survivor_array]
-            counts = indptr[survivor_array + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            base = np.repeat(starts, counts)
-            within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            neighbors = adj[base + within]
+            neighbors = frontier_neighbors(indptr, adj, survivor_array)
             fresh = neighbors[visited[neighbors] < 0]
             if fresh.size == 0:
                 break

@@ -53,6 +53,7 @@ import numpy as np
 from repro.core.index import PrunedLandmarkLabeling
 from repro.core.kernels import rooted_probe
 from repro.core.labels import LabelSet
+from repro.core.query import merge_join_query
 from repro.errors import IndexBuildError, IndexStateError, VertexError
 from repro.graph.csr import Graph
 
@@ -195,9 +196,10 @@ class DynamicPrunedLandmarkLabeling:
     def _rooted_query(self, vertex: int, max_rank: int) -> int:
         """Minimum attached-root label distance via hubs of rank ``<= max_rank``.
 
-        Equivalent to ``_query_prefix(root, vertex, max_rank)`` for the
-        currently attached root, in ``O(|L(vertex)|)`` instead of a two-label
-        merge; returns a value ``>= _TEMP_INF`` when no common hub qualifies.
+        Equivalent to a two-label merge join of the currently attached root
+        and ``vertex`` restricted to hubs of rank ``<= max_rank``, in
+        ``O(|L(vertex)|)``; returns a value ``>= _TEMP_INF`` when no common
+        hub qualifies.
         """
         temp = self._temp
         best = _TEMP_INF
@@ -276,28 +278,6 @@ class DynamicPrunedLandmarkLabeling:
             flat_hubs, flat_dists, starts, sizes, self._temp_np, max_rank, _TEMP_INF
         )
 
-    def _query_prefix(self, s: int, t: int, max_rank: int) -> float:
-        """Minimum label distance using only hubs of rank ``<= max_rank``."""
-        s_hubs, s_dists = self._hubs[s], self._dists[s]
-        t_hubs, t_dists = self._hubs[t], self._dists[t]
-        best = float("inf")
-        i, j = 0, 0
-        while i < len(s_hubs) and j < len(t_hubs):
-            hub_s, hub_t = s_hubs[i], t_hubs[j]
-            if hub_s > max_rank or hub_t > max_rank:
-                break
-            if hub_s == hub_t:
-                candidate = s_dists[i] + t_dists[j]
-                if candidate < best:
-                    best = candidate
-                i += 1
-                j += 1
-            elif hub_s < hub_t:
-                i += 1
-            else:
-                j += 1
-        return best
-
     def distance(self, s: int, t: int) -> float:
         """Exact shortest-path distance in the current (mutated) graph.
 
@@ -311,7 +291,9 @@ class DynamicPrunedLandmarkLabeling:
         self._validate_vertex(t)
         if s == t:
             return 0.0
-        return self._query_prefix(s, t, max_rank=len(self._hubs))
+        return float(
+            merge_join_query(self._hubs[s], self._dists[s], self._hubs[t], self._dists[t])
+        )
 
     def distances(self, pairs: Iterable[Tuple[int, int]]) -> np.ndarray:
         """Distances for a batch of ``(s, t)`` pairs."""

@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import IndexBuildError, IndexStateError
 from repro.graph.csr import Graph
 from repro.graph.ordering import compute_order
+from repro.graph.traversal import frontier_edges
 
 __all__ = ["PathPrunedLandmarkLabeling"]
 
@@ -118,17 +119,7 @@ class PathPrunedLandmarkLabeling:
                 if not survivors:
                     break
                 survivor_array = np.asarray(survivors, dtype=np.int64)
-                starts = indptr[survivor_array]
-                counts = indptr[survivor_array + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                base = np.repeat(starts, counts)
-                within = np.arange(total) - np.repeat(
-                    np.cumsum(counts) - counts, counts
-                )
-                neighbors = adj[base + within]
-                origins = np.repeat(survivor_array, counts)
+                origins, neighbors = frontier_edges(indptr, adj, survivor_array)
                 unseen = visited[neighbors] < 0
                 neighbors, origins = neighbors[unseen], origins[unseen]
                 if neighbors.size == 0:

@@ -37,6 +37,7 @@ from repro.core.labels import LabelAccumulator, LabelSet
 from repro.core.query import RootedQueryEvaluator
 from repro.errors import IndexBuildError
 from repro.graph.csr import Graph
+from repro.graph.traversal import frontier_neighbors
 
 __all__ = ["ConstructionStats", "build_pruned_labels", "build_naive_labels"]
 
@@ -151,14 +152,7 @@ def build_pruned_labels(
             if not survivors:
                 break
             survivor_array = np.asarray(survivors, dtype=np.int64)
-            starts = indptr[survivor_array]
-            counts = indptr[survivor_array + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            base = np.repeat(starts, counts)
-            within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            neighbors = adj[base + within]
+            neighbors = frontier_neighbors(indptr, adj, survivor_array)
             fresh = neighbors[dist[neighbors] < 0]
             if fresh.size == 0:
                 break
@@ -217,14 +211,7 @@ def build_naive_labels(
             for u in frontier:
                 labels.append(int(u), k, depth)
             labeled_this_bfs += int(frontier.size)
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            base = np.repeat(starts, counts)
-            within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            neighbors = adj[base + within]
+            neighbors = frontier_neighbors(indptr, adj, frontier)
             fresh = neighbors[dist[neighbors] < 0]
             if fresh.size == 0:
                 break

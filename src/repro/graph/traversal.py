@@ -28,26 +28,43 @@ __all__ = [
     "dijkstra_tree",
     "bfs_distance",
     "eccentricity",
+    "frontier_neighbors",
+    "frontier_edges",
 ]
 
 #: Sentinel distance for unreachable vertices in integer distance arrays.
 UNREACHABLE = -1
 
 
-def _frontier_neighbors(
-    indptr: np.ndarray, adj: np.ndarray, frontier: np.ndarray
-) -> np.ndarray:
-    """All neighbours of the frontier vertices, concatenated (with duplicates)."""
+def _frontier_slots(
+    indptr: np.ndarray, frontier: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Index into the adjacency array of every frontier edge, plus the
+    per-vertex edge counts."""
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=adj.dtype)
     # For each output slot, compute its index into ``adj``:
     #   base offset of its frontier vertex + position within that vertex's list.
     base = np.repeat(starts, counts)
     within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return adj[base + within]
+    return base + within, counts
+
+
+def frontier_neighbors(
+    indptr: np.ndarray, adj: np.ndarray, frontier: np.ndarray
+) -> np.ndarray:
+    """All neighbours of the frontier vertices, concatenated (with duplicates)."""
+    slots, _ = _frontier_slots(indptr, frontier)
+    return adj[slots]
+
+
+def frontier_edges(
+    indptr: np.ndarray, adj: np.ndarray, frontier: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """All ``(origin, neighbour)`` pairs with origin in the frontier."""
+    slots, counts = _frontier_slots(indptr, frontier)
+    return np.repeat(frontier, counts), adj[slots]
 
 
 def bfs_distances(
@@ -83,7 +100,7 @@ def bfs_distances(
     level = 0
     while frontier.size:
         level += 1
-        neighbors = _frontier_neighbors(indptr, adj, frontier)
+        neighbors = frontier_neighbors(indptr, adj, frontier)
         if neighbors.size == 0:
             break
         fresh = neighbors[dist[neighbors] == UNREACHABLE]
@@ -118,16 +135,7 @@ def bfs_tree(
     level = 0
     while frontier.size:
         level += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        base = np.repeat(starts, counts)
-        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        neighbors = adj[base + within]
-        origins = np.repeat(frontier, counts)
-
+        origins, neighbors = frontier_edges(indptr, adj, frontier)
         unseen = dist[neighbors] == UNREACHABLE
         neighbors = neighbors[unseen]
         origins = origins[unseen]
@@ -161,7 +169,7 @@ def multi_source_bfs(
     level = 0
     while frontier.size:
         level += 1
-        neighbors = _frontier_neighbors(indptr, adj, frontier)
+        neighbors = frontier_neighbors(indptr, adj, frontier)
         if neighbors.size == 0:
             break
         fresh = neighbors[dist[neighbors] == UNREACHABLE]
@@ -225,7 +233,7 @@ def bidirectional_bfs_distance(graph: Graph, source: int, target: int) -> float:
             frontier = frontier_bwd
 
         level = int(dist_here[frontier[0]]) + 1
-        neighbors = _frontier_neighbors(indptr, adj, frontier)
+        neighbors = frontier_neighbors(indptr, adj, frontier)
         if neighbors.size:
             fresh = np.unique(neighbors[dist_here[neighbors] == UNREACHABLE])
         else:

@@ -90,7 +90,6 @@ STAGE_CACHE_PROBE_SECONDS = "stage_cache_probe_seconds"
 #: ``ALERTS{alertname=...,severity=...,alertstate=...} 1``.
 ALERTS_SERIES = "ALERTS"
 VERB_QUERIES_TOTAL = "verb_queries_total"
-KERNEL_OP_QUERIES_TOTAL = "kernel_op_queries_total"
 KERNEL_INFO = "kernel_info"
 
 # --------------------------------------------------------------------------- #
@@ -174,7 +173,6 @@ REGISTERED_NAMES: FrozenSet[str] = (
         {
             ALERTS_SERIES,
             VERB_QUERIES_TOTAL,
-            KERNEL_OP_QUERIES_TOTAL,
             KERNEL_INFO,
         }
     )

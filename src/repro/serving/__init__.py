@@ -6,7 +6,7 @@ long-lived service that answers heavy query streams fast and keeps serving
 while the index is updated underneath it.
 
 * :mod:`~repro.serving.engine` — :class:`BatchQueryEngine`, the vectorised
-  many-pairs-per-call front end with latency/throughput accounting.
+  many-pairs-per-call front end over a built index.
 * :mod:`~repro.serving.cache` — :class:`LRUCache`, the bounded hot-pair
   cache with hit/miss/eviction counters.
 * :mod:`~repro.serving.snapshot` — :class:`SnapshotManager`, lock-free
@@ -43,7 +43,7 @@ from repro.serving.alerts import (
     default_alert_rules,
 )
 from repro.serving.cache import CacheStats, LRUCache, cached_query_batch
-from repro.serving.engine import BatchQueryEngine, EngineStats
+from repro.serving.engine import BatchQueryEngine
 from repro.serving.metrics import (
     Histogram,
     LatencyWindow,
@@ -74,7 +74,6 @@ from repro.serving.tracing import (
 __all__ = [
     "AsyncQueryFrontend",
     "BatchQueryEngine",
-    "EngineStats",
     "HealthMonitor",
     "ShadowCanary",
     "alerts_wire_reply",

@@ -153,6 +153,13 @@ class _AsyncRequest:
     def __len__(self) -> int:
         return int(self.sources.shape[0])
 
+    def waits(self, dispatched: float) -> Tuple[float, float]:
+        """``(queue wait, coalescing wait)`` in a batch dispatched at ``dispatched``."""
+        return (
+            max(self.dequeued - self.created, 0.0),
+            max(dispatched - self.dequeued, 0.0),
+        )
+
 
 class AsyncQueryFrontend:
     """Event-loop front end: micro-batched queries, admin plane, graceful drain.
@@ -324,14 +331,7 @@ class AsyncQueryFrontend:
         stats = self.metrics.snapshot(**self._metrics_kwargs())
         stats["num_connections"] = self.num_connections
         stats["event_loop_lag_seconds"] = self._loop_lag
-        try:
-            stats.update(
-                index_health_stats(self._current_engine(), self.snapshot_manager)
-            )
-        except Exception:
-            # Health introspection is best effort: a backend mid-teardown
-            # must not take /metrics down with it.
-            pass
+        stats.update(index_health_stats(self._current_engine(), self.snapshot_manager))
         return augment_snapshot(stats, health=self.health, shadow=self.shadow)
 
     def metrics_json(self) -> str:
@@ -361,24 +361,15 @@ class AsyncQueryFrontend:
         subprocess) so callers on the event loop must dispatch through the
         executor.
         """
-        engine = None
-        try:
-            engine = self._current_engine()
-        except Exception:
-            pass
+        engine = self._current_engine()
         bundle: dict = {
             "metrics": self.metrics_snapshot(),
             "alerts": json.loads(self.alerts_json()),
             "traces": self.tracer.snapshot(limit=32),
             "threads": self._debug_threads_text(),
-            "kernel": {"kernel_name": getattr(engine, "kernel_name", "unknown")},
+            "kernel": {"kernel_name": engine.kernel_name},
+            "index_health": index_health_stats(engine, self.snapshot_manager),
         }
-        try:
-            bundle["index_health"] = index_health_stats(
-                engine, self.snapshot_manager
-            )
-        except Exception:
-            bundle["index_health"] = {}
         try:
             bundle["environment"] = collect_fingerprint().as_dict()
         except Exception:
@@ -657,20 +648,18 @@ class AsyncQueryFrontend:
                 raise
         finally:
             self._pending -= 1
-        elapsed = time.perf_counter() - start
-        num_pairs = int(distances.shape[0])
-        self.metrics.observe_batch(num_pairs, 1, elapsed, request_latencies=[elapsed])
-        self.metrics.observe_verb(VERB_ONE_TO_MANY, num_pairs)
-        self.metrics.observe_kernel_op(
-            getattr(engine, "kernel_name", "unknown"), "query_one_to_many", num_pairs
+        completed = time.perf_counter()
+        if spans and trace is not None:
+            trace.extend(spans)
+            self.tracer.record(trace, completed - start)
+        self._observe(
+            VERB_ONE_TO_MANY,
+            int(distances.shape[0]),
+            start,
+            completed,
+            [start],
+            spans=spans,
         )
-        if spans:
-            if trace is not None:
-                trace.extend(spans)
-                self.tracer.record(trace, elapsed)
-            kernel_seconds = [span.seconds for span in spans if span.name == "kernel"]
-            if self.metrics.has_histograms and kernel_seconds:
-                self.metrics.observe_stages({"kernel": kernel_seconds})
         return distances
 
     async def publish(self):
@@ -784,51 +773,72 @@ class AsyncQueryFrontend:
         if not request.future.done():
             request.future.set_exception(error)
 
+    def _observe(
+        self,
+        verb: str,
+        num_pairs: int,
+        start: float,
+        completed: float,
+        created: Sequence[float],
+        *,
+        spans: Optional[list] = None,
+        queued: Sequence[_AsyncRequest] = (),
+        num_errors: int = 0,
+    ) -> None:
+        """Record one finished batch, retry group or fan-out in one
+        :meth:`~repro.serving.metrics.ServerMetrics.observe_batch` call.
+
+        Every answered request was admitted at one of ``created`` and
+        answered at ``completed``.  When ``spans`` were collected and
+        histograms are on, the stage histograms get the queue and coalescing
+        waits of the ``queued`` requests plus the durations of the batch's
+        ``kernel`` and ``cache_probe`` spans.
+        """
+        stages: Optional[dict] = None
+        if spans is not None and self.metrics.has_histograms:
+            waits = [request.waits(start) for request in queued]
+            stages = {
+                "queue": [queue_wait for queue_wait, _ in waits],
+                "batch": [coalesce for _, coalesce in waits],
+            }
+            for span in spans:
+                stages.setdefault(span.name, []).append(span.seconds)
+        self.metrics.observe_batch(
+            verb,
+            num_pairs,
+            completed - start,
+            [completed - admitted for admitted in created],
+            stages=stages,
+            num_errors=num_errors,
+        )
+
     def _trace_batch(
         self, batch, batch_spans, start: float, eval_done: float, completed: float
     ) -> None:
-        """Stitch batch-shared spans into every request trace; feed histograms.
+        """Stitch batch-shared spans into every request trace.
 
         Each request gets its own ``queue`` / ``batch`` / ``reply`` spans
         (those durations differ per request) plus the *shared* cache-probe
         and kernel span objects — every request in the batch rode the
-        same engine call.  The same stage durations feed the per-stage
-        histograms in one call.
+        same engine call.
         """
         num_pairs = sum(len(request) for request in batch)
         reply_seconds = completed - eval_done
-        stage_queue = []
-        stage_batch = []
         for request in batch:
-            queue_wait = max(request.dequeued - request.created, 0.0)
-            coalesce = max(start - request.dequeued, 0.0)
-            stage_queue.append(queue_wait)
-            stage_batch.append(coalesce)
             trace = request.trace
-            if trace is not None:
-                trace.add_span("queue", queue_wait)
-                trace.add_span(
-                    "batch",
-                    coalesce,
-                    batch_pairs=num_pairs,
-                    batch_requests=len(batch),
-                )
-                trace.extend(batch_spans)
-                trace.add_span("reply", reply_seconds)
-                self.tracer.record(trace, completed - request.created)
-        if self.metrics.has_histograms:
-            stages = {"queue": stage_queue, "batch": stage_batch}
-            kernel_seconds = [
-                span.seconds for span in batch_spans if span.name == "kernel"
-            ]
-            probe_seconds = [
-                span.seconds for span in batch_spans if span.name == "cache_probe"
-            ]
-            if kernel_seconds:
-                stages["kernel"] = kernel_seconds
-            if probe_seconds:
-                stages["cache_probe"] = probe_seconds
-            self.metrics.observe_stages(stages)
+            if trace is None:
+                continue
+            queue_wait, coalesce = request.waits(start)
+            trace.add_span("queue", queue_wait)
+            trace.add_span(
+                "batch",
+                coalesce,
+                batch_pairs=num_pairs,
+                batch_requests=len(batch),
+            )
+            trace.extend(batch_spans)
+            trace.add_span("reply", reply_seconds)
+            self.tracer.record(trace, completed - request.created)
 
     async def _process_batch(self, batch) -> None:
         start = time.perf_counter()
@@ -867,7 +877,6 @@ class AsyncQueryFrontend:
                     )
                 except Exception as single_exc:
                     self._fail(request, single_exc)
-                    self.metrics.observe_error()
                     self.tracer.record(
                         request.trace,
                         time.perf_counter() - request.created,
@@ -876,22 +885,19 @@ class AsyncQueryFrontend:
                 else:
                     self._complete(request, result)
                     succeeded.append(request)
-            if succeeded:
-                completed = time.perf_counter()
-                num_pairs = sum(len(request) for request in succeeded)
-                self.metrics.observe_batch(
-                    num_pairs,
-                    len(succeeded),
-                    completed - start,
-                    request_latencies=[
-                        completed - request.created for request in succeeded
-                    ],
+            completed = time.perf_counter()
+            self._observe(
+                VERB_PAIR,
+                sum(len(request) for request in succeeded),
+                start,
+                completed,
+                [request.created for request in succeeded],
+                num_errors=len(batch) - len(succeeded),
+            )
+            for request in succeeded:
+                self.tracer.record(
+                    request.trace, completed - request.created, status="retried"
                 )
-                self._count_pair_queries(num_pairs)
-                for request in succeeded:
-                    self.tracer.record(
-                        request.trace, completed - request.created, status="retried"
-                    )
             return
         finally:
             for _ in batch:
@@ -903,29 +909,22 @@ class AsyncQueryFrontend:
             self._complete(request, distances[offset: offset + len(request)])
             offset += len(request)
         completed = time.perf_counter()
-        self.metrics.observe_batch(
+        self._observe(
+            VERB_PAIR,
             int(sources.shape[0]),
-            len(batch),
-            completed - start,
-            request_latencies=[completed - request.created for request in batch],
+            start,
+            completed,
+            [request.created for request in batch],
+            spans=batch_spans,
+            queued=batch,
         )
-        self._count_pair_queries(int(sources.shape[0]))
         shadow = self.shadow
         if shadow is not None:
             # After completion so sampling never sits between kernel and
             # reply; the canary copies the arrays before enqueueing.
             shadow.maybe_submit(engine, sources, targets, distances)
-        if want_spans:
+        if self.tracer.enabled:
             self._trace_batch(batch, batch_spans, start, eval_done, completed)
-
-    def _count_pair_queries(self, num_pairs: int) -> None:
-        """Stamp per-verb and per-kernel-op counters for one pair batch."""
-        self.metrics.observe_verb(VERB_PAIR, num_pairs)
-        self.metrics.observe_kernel_op(
-            getattr(self._current_engine(), "kernel_name", "unknown"),
-            "query_pairs",
-            num_pairs,
-        )
 
     async def _lag_loop(self) -> None:
         """Sample event-loop scheduling lag: how late a timed sleep wakes up.

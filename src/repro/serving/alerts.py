@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.obs import names
 from repro.obs.health import BurnRateRule, DeltaRule, HealthEngine, ThresholdRule
+from repro.serving.engine import BatchQueryEngine
 
 __all__ = [
     "HealthMonitor",
@@ -391,7 +392,7 @@ class ShadowCanary:
 
     def maybe_submit(
         self,
-        engine: object,
+        engine: BatchQueryEngine,
         sources: np.ndarray,
         targets: np.ndarray,
         distances: np.ndarray,
@@ -412,7 +413,7 @@ class ShadowCanary:
 
     def submit(
         self,
-        engine: object,
+        engine: BatchQueryEngine,
         sources: np.ndarray,
         targets: np.ndarray,
         distances: np.ndarray,
@@ -456,16 +457,12 @@ class ShadowCanary:
 
     def _verify(
         self,
-        engine: object,
+        engine: BatchQueryEngine,
         sources: np.ndarray,
         targets: np.ndarray,
         served: np.ndarray,
     ) -> None:
-        index = getattr(engine, "index", None)
-        if index is None:
-            with self._lock:
-                self._num_dropped += 1
-            return
+        index = engine.index
         mismatches = []
         for s, t, answer in zip(sources, targets, served):
             expected = float(index.distance(int(s), int(t)))

@@ -39,16 +39,11 @@ def cached_query_batch(
     With ``cache=None`` the engine answers directly.
 
     ``span_sink`` (a list, or ``None``) collects tracing spans for the batch:
-    a ``cache_probe`` span covering the lookup, plus whatever the engine
-    appends (a ``kernel`` span).  The engine only
-    receives the sink when it advertises ``accepts_span_sink``, so arbitrary
-    engine ducks keep working untraced.
+    a ``cache_probe`` span covering the lookup, plus the engine's ``kernel``
+    span.
     """
-    engine_kwargs = {}
-    if span_sink is not None and getattr(engine, "accepts_span_sink", False):
-        engine_kwargs["span_sink"] = span_sink
     if cache is None:
-        return engine.query_batch(sources, targets, **engine_kwargs)
+        return engine.query_batch(sources, targets, span_sink=span_sink)
     probe_start = time.perf_counter()
     distances, missing = cache.lookup_batch(sources, targets)
     if span_sink is not None:
@@ -63,7 +58,7 @@ def cached_query_batch(
         )
     if missing.any():
         computed = engine.query_batch(
-            sources[missing], targets[missing], **engine_kwargs
+            sources[missing], targets[missing], span_sink=span_sink
         )
         distances[missing] = computed
         cache.store_batch(sources[missing], targets[missing], computed)

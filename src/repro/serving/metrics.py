@@ -180,10 +180,9 @@ def render_prometheus_text(
 
     histograms = stats.get("histograms")
     verbs = stats.get("verbs")
-    kernel_ops = stats.get("kernel_ops")
     alerts = stats.get("alerts")
     for key in sorted(stats):
-        if key in ("histograms", "verbs", "kernel_ops", "alerts"):
+        if key in ("histograms", "verbs", "alerts"):
             continue
         value = stats[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -224,20 +223,6 @@ def render_prometheus_text(
             lines.append(
                 f'{name}{{verb="{verb}"}} {_prometheus_number(verbs[verb])}'
             )
-    if isinstance(kernel_ops, Mapping) and kernel_ops:
-        name = f"{prefix}_{names.KERNEL_OP_QUERIES_TOTAL}"
-        lines.append(
-            f"# HELP {name} Query pairs evaluated, broken down by kernel backend and operation."
-        )
-        lines.append(f"# TYPE {name} counter")
-        for kernel, ops in sorted(kernel_ops.items()):
-            if not isinstance(ops, Mapping):
-                continue
-            for op in sorted(ops):
-                lines.append(
-                    f'{name}{{kernel="{kernel}",op="{op}"}} '
-                    f"{_prometheus_number(ops[op])}"
-                )
     if isinstance(histograms, Mapping):
         for hist_key in sorted(histograms):
             hist = histograms[hist_key]
@@ -344,13 +329,11 @@ class ServerMetrics:
 
         _latencies: guarded-by _lock
         _verbs: guarded-by _lock
-        _kernel_ops: guarded-by _lock
 
     ``_histograms`` is deliberately *not* guarded: the dict is fully built in
-    ``__init__`` and never mutated afterwards, so the hot-path reads
-    (:attr:`has_histograms`, the :meth:`observe_stages` early-out) are safe
-    without the lock; only the ``Histogram`` objects inside it mutate, under
-    ``_lock``.
+    ``__init__`` and never mutated afterwards, so the hot-path read
+    (:attr:`has_histograms`) is safe without the lock; only the
+    ``Histogram`` objects inside it mutate, under ``_lock``.
 
     Parameters
     ----------
@@ -385,9 +368,6 @@ class ServerMetrics:
                 self._histograms[f"stage_{stage}_seconds"] = Histogram(histogram_buckets)
         # Query pairs answered per wire verb ("pair", "one_to_many", ...).
         self._verbs: Dict[str, int] = {}
-        # Query pairs evaluated per kernel backend and operation, keyed
-        # kernel name -> op name -> pairs.
-        self._kernel_ops: Dict[str, Dict[str, int]] = {}
 
     @property
     def has_histograms(self) -> bool:
@@ -400,76 +380,45 @@ class ServerMetrics:
 
     def observe_batch(
         self,
+        verb: str,
         num_queries: int,
-        num_requests: int,
         seconds: float,
+        request_latencies: Sequence[float],
         *,
-        request_latencies: Optional[Sequence[float]] = None,
+        stages: Optional[Mapping[str, Sequence[float]]] = None,
+        num_errors: int = 0,
     ) -> None:
-        """Record one processed batch.
+        """Record one finished batch, retry group or fan-out under one lock.
 
-        ``seconds`` is the engine's evaluation time (feeds ``busy_fraction``).
-        ``request_latencies`` are the *client-observed* per-request latencies
-        — submission to completion, including queue wait and the coalescing
-        window — and are what the reported percentiles describe.  When absent
-        (e.g. direct engine benchmarking), the batch time itself is recorded.
+        ``verb`` is the wire verb the ``num_queries`` pairs were answered
+        under (``verb_queries_total{verb=...}``).  ``seconds`` is the
+        evaluation time (feeds ``busy_fraction``).  ``request_latencies``
+        holds the *client-observed* latency of every answered request —
+        submission to completion, including queue wait and the coalescing
+        window — and is what the reported percentiles describe.  ``stages``
+        maps stage names (see :data:`STAGE_NAMES`) to the durations observed
+        for this batch; unknown stages are ignored.  ``num_errors`` counts
+        the requests of the group that failed; a call that answered no
+        request records only those.
         """
         with self._lock:
+            self._num_errors += num_errors
+            if not request_latencies:
+                return
             self._num_batches += 1
             self._num_queries += num_queries
-            self._num_requests += num_requests
+            self._num_requests += len(request_latencies)
             self._busy_seconds += seconds
-            latency_histogram = self._histograms.get(names.LATENCY_SECONDS)
-            if request_latencies:
-                for latency in request_latencies:
-                    self._latencies.record(latency)
-                    if latency_histogram is not None:
-                        latency_histogram.observe(latency)
-            else:
-                self._latencies.record(seconds)
-                if latency_histogram is not None:
-                    latency_histogram.observe(seconds)
-
-    def observe_stages(self, stage_seconds: Mapping[str, Sequence[float]]) -> None:
-        """Record per-stage durations into the stage histograms.
-
-        ``stage_seconds`` maps stage names (see :data:`STAGE_NAMES`) to the
-        durations observed for one batch — per-request values for the queue
-        and coalescing stages, one per-batch value for the kernel and cache
-        probe.  One lock acquisition covers the whole batch; unknown stages
-        are ignored so callers need no histogram-configuration knowledge.
-        No-op when histograms are disabled.
-        """
-        if not self._histograms:
-            return
-        with self._lock:
-            for stage, values in stage_seconds.items():
-                histogram = self._histograms.get(f"stage_{stage}_seconds")
-                if histogram is None:
-                    continue
-                for value in values:
-                    histogram.observe(value)
-
-    def observe_verb(self, verb: str, num_queries: int) -> None:
-        """Record ``num_queries`` pairs answered under one wire verb.
-
-        Feeds the ``verb_queries_total{verb=...}`` exposition series, so the
-        traffic mix (point pairs vs one-to-many fan-outs) is visible to the
-        scraper.
-        """
-        with self._lock:
             self._verbs[verb] = self._verbs.get(verb, 0) + num_queries
-
-    def observe_kernel_op(self, kernel: str, op: str, num_queries: int) -> None:
-        """Record ``num_queries`` pairs evaluated by one kernel backend op.
-
-        Feeds ``kernel_op_queries_total{kernel=...,op=...}``: per-backend op
-        counters show which compiled kernel actually carried the traffic
-        (selection alone says what *would* run; this says what did).
-        """
-        with self._lock:
-            ops = self._kernel_ops.setdefault(kernel, {})
-            ops[op] = ops.get(op, 0) + num_queries
+            latency_histogram = self._histograms.get(names.LATENCY_SECONDS)
+            for latency in request_latencies:
+                self._latencies.record(latency)
+                if latency_histogram is not None:
+                    latency_histogram.observe(latency)
+            for stage, values in (stages or {}).items():
+                histogram = self._histograms.get(f"stage_{stage}_seconds")
+                if histogram is not None:
+                    histogram.observe_many(values)
 
     def observe_rejection(self) -> None:
         """Record one request rejected by admission control."""
@@ -532,10 +481,6 @@ class ServerMetrics:
                 }
             if self._verbs:
                 stats["verbs"] = dict(self._verbs)
-            if self._kernel_ops:
-                stats["kernel_ops"] = {
-                    kernel: dict(ops) for kernel, ops in self._kernel_ops.items()
-                }
         stats.update(process_resource_stats())
         if cache_stats is not None:
             for name, value in cache_stats.as_dict().items():
@@ -555,7 +500,6 @@ class ServerMetrics:
         stats = self.snapshot(**snapshot_kwargs)
         histograms = stats.pop("histograms", None)
         verbs = stats.pop("verbs", None)
-        kernel_ops = stats.pop("kernel_ops", None)
         alerts = stats.pop("alerts", None)
         lines = ["serving metrics"]
         for key in sorted(stats):
@@ -574,12 +518,6 @@ class ServerMetrics:
             lines.append("  verbs")
             for verb in sorted(verbs):
                 lines.append(f"    {verb:26s} {int(verbs[verb]):d}")
-        if kernel_ops:
-            lines.append("  kernel ops")
-            for kernel in sorted(kernel_ops):
-                for op in sorted(kernel_ops[kernel]):
-                    label = f"{kernel}/{op}"
-                    lines.append(f"    {label:26s} {int(kernel_ops[kernel][op]):d}")
         if alerts:
             lines.append("  alerts")
             for alert in alerts:
@@ -604,10 +542,9 @@ class ServerMetrics:
 
 
 def index_health_stats(engine, manager=None) -> Dict[str, object]:
-    """Index-health gauges for the metrics endpoint, duck-typed off ``engine``.
+    """Index-health gauges for the metrics endpoint.
 
-    Inspects whatever the serving stack currently holds — a
-    :class:`~repro.serving.engine.BatchQueryEngine` or ``None`` — plus an
+    Reads the served :class:`~repro.serving.engine.BatchQueryEngine` plus an
     optional :class:`~repro.serving.snapshot.SnapshotManager`, and reports:
 
     * ``index_label_entries`` — total normal label entries in the served index,
@@ -618,37 +555,18 @@ def index_health_stats(engine, manager=None) -> Dict[str, object]:
     * ``kernel_name`` / ``kernel_narrow`` — the batch kernel's key layout
       (``"narrow"`` for ``uint32`` keys, else ``"wide"``).
 
-    Everything is best-effort ``getattr`` so the helper works against any
-    engine shape (and quietly reports less for engines that expose less);
-    values update as snapshots are published, so graphing them shows index
+    Values update as snapshots are published, so graphing them shows index
     growth and publish churn over time.
     """
-    stats: Dict[str, object] = {}
-    index = getattr(engine, "index", None)
-    if index is None and manager is not None:
-        index = getattr(getattr(manager, "current", None), "index", None)
-    if index is not None:
-        label_set = getattr(index, "label_set", None)
-        if label_set is not None:
-            stats[names.INDEX_LABEL_ENTRIES] = int(label_set.total_entries())
-            num_vertices = getattr(label_set, "num_vertices", None)
-            if num_vertices is not None:
-                stats[names.INDEX_NUM_VERTICES] = int(num_vertices)
-        bit_parallel = getattr(index, "bit_parallel_labels", None)
-        if bit_parallel is not None:
-            stats[names.INDEX_BIT_PARALLEL_ROOTS] = int(bit_parallel.num_roots)
+    index = engine.index
+    stats: Dict[str, object] = {
+        names.INDEX_LABEL_ENTRIES: int(index.label_set.total_entries()),
+        names.INDEX_NUM_VERTICES: int(index.label_set.num_vertices),
+        names.INDEX_BIT_PARALLEL_ROOTS: int(index.bit_parallel_labels.num_roots),
+    }
     if manager is not None:
-        dirty = getattr(manager, "dirty_vertex_count", None)
-        if dirty is not None:
-            stats[names.INDEX_DIRTY_VERTICES] = int(dirty)
-    # reprolint: disable=RL008 -- the engine *method* name, not the series
-    kernel_info = getattr(engine, "kernel_info", None)
-    if callable(kernel_info):
-        try:
-            info = kernel_info()
-        except Exception:
-            info = None
-        if info:
-            stats["kernel_name"] = str(info.get("name", ""))
-            stats[names.KERNEL_NARROW] = int(bool(info.get("narrow")))
+        stats[names.INDEX_DIRTY_VERTICES] = int(manager.dirty_vertex_count)
+    info = engine.kernel_info()
+    stats["kernel_name"] = info["name"]
+    stats[names.KERNEL_NARROW] = int(info["narrow"])
     return stats

@@ -39,6 +39,18 @@ class TestDynamicBasics:
         assert oracle.distance(0, 3) == 3.0
         assert oracle.distance(0, 2) == 2.0
 
+    def test_distance_is_float_as_in_docstring(self):
+        """The class docstring's session, value for value and type for type:
+        a connected pair answers a ``float`` like the static index does."""
+        oracle = DynamicPrunedLandmarkLabeling().build(Graph(4, [(0, 1), (2, 3)]))
+        assert oracle.distance(0, 3) == float("inf")
+        oracle.insert_edge(1, 2)
+        distance = oracle.distance(0, 3)
+        assert isinstance(distance, float) and distance == 3.0
+        assert isinstance(oracle.distance(0, 1), float)
+        oracle.remove_edge(1, 2)
+        assert oracle.distance(0, 3) == float("inf")
+
     def test_insert_shortcut_reduces_distance(self, path_graph):
         oracle = DynamicPrunedLandmarkLabeling().build(path_graph)
         assert oracle.distance(0, 4) == 4.0

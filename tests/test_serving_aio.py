@@ -145,6 +145,46 @@ class TestFrontendQueries:
         # Six submits with no awaits in between land in fewer batches.
         assert stats["num_batches"] < stats["num_requests"]
 
+    def test_failed_batch_retries_each_request_and_books_the_group_once(
+        self, engine, monkeypatch
+    ):
+        """A coalesced batch holding one poisoned request: the healthy
+        requests are answered on retry, the poisoned one gets its error, and
+        the retry group is booked as one batch with one error."""
+        original = engine.query_batch
+
+        def poisoned(sources, targets, *args, **kwargs):
+            if 13 in np.asarray(sources):
+                raise RuntimeError("poisoned source 13")
+            return original(sources, targets, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "query_batch", poisoned)
+
+        async def scenario():
+            frontend = AsyncQueryFrontend(engine, batch_timeout=0.05)
+            await frontend.start()
+            futures = [
+                frontend.submit([0, 1], [5, 6]),
+                frontend.submit([13], [2]),
+                frontend.submit([3], [4]),
+            ]
+            results = await asyncio.gather(*futures, return_exceptions=True)
+            await frontend.stop()
+            return results, frontend.metrics_snapshot(), frontend.tracer.recent()
+
+        (first, poisoned_reply, last), stats, traces = run(scenario())
+        index = engine.index
+        assert np.array_equal(first, index.distance_batch([0, 1], [5, 6]))
+        assert np.array_equal(last, index.distance_batch([3], [4]))
+        assert isinstance(poisoned_reply, RuntimeError)
+        assert "poisoned source 13" in str(poisoned_reply)
+        assert stats["num_queries"] == 3
+        assert stats["num_requests"] == 2
+        assert stats["num_batches"] == 1
+        assert stats["num_errors"] == 1
+        assert stats["verbs"] == {"pair": 3}
+        assert [trace["status"] for trace in traces] == ["retried", "retried", "error"]
+
     def test_submit_requires_start(self, engine):
         frontend = AsyncQueryFrontend(engine)
         with pytest.raises(ServingError):

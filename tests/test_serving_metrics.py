@@ -60,13 +60,16 @@ class TestLatencyWindow:
 class TestServerMetrics:
     def test_observe_and_snapshot(self):
         metrics = ServerMetrics()
-        metrics.observe_batch(num_queries=10, num_requests=3, seconds=0.004)
-        metrics.observe_batch(num_queries=6, num_requests=1, seconds=0.002)
+        metrics.observe_batch("pair", 10, 0.004, [0.004] * 3)
+        metrics.observe_batch("pair", 6, 0.002, [0.002])
+        # A retry group in which every request failed books only its errors.
+        metrics.observe_batch("pair", 0, 0.003, [], num_errors=2)
         metrics.observe_rejection()
         stats = metrics.snapshot()
         assert stats["num_queries"] == 16
         assert stats["num_batches"] == 2
         assert stats["num_requests"] == 4
+        assert stats["num_errors"] == 2
         assert stats["num_rejected"] == 1
         assert stats["average_batch_size"] == 8.0
         assert stats["qps"] > 0.0
@@ -76,12 +79,7 @@ class TestServerMetrics:
     def test_request_latencies_feed_percentiles(self):
         metrics = ServerMetrics()
         # Client-observed latencies dominate the batch compute time.
-        metrics.observe_batch(
-            num_queries=3,
-            num_requests=3,
-            seconds=0.001,
-            request_latencies=[0.010, 0.020, 0.030],
-        )
+        metrics.observe_batch("pair", 3, 0.001, [0.010, 0.020, 0.030])
         stats = metrics.snapshot()
         assert stats["latency_p50_ms"] == pytest.approx(20.0)
         assert stats["latency_p99_ms"] == pytest.approx(30.0, rel=0.05)
@@ -99,7 +97,7 @@ class TestServerMetrics:
 
     def test_render_outputs(self):
         metrics = ServerMetrics()
-        metrics.observe_batch(num_queries=1, num_requests=1, seconds=0.001)
+        metrics.observe_batch("pair", 1, 0.001, [0.001])
         text = metrics.render()
         assert "qps" in text and "latency_p50_ms" in text
         parsed = json.loads(metrics.render_json())
@@ -118,7 +116,7 @@ class TestPrometheusRendering:
 
     def test_exposition_shape_and_types(self):
         metrics = ServerMetrics()
-        metrics.observe_batch(num_queries=5, num_requests=2, seconds=0.002)
+        metrics.observe_batch("pair", 5, 0.002, [0.002, 0.002])
         metrics.observe_rejection()
         body = metrics.render_prometheus(
             cache_stats=CacheStats(hits=3, misses=1), snapshot_version=7
@@ -162,13 +160,15 @@ class TestPrometheusRendering:
     def test_full_body_passes_exposition_grammar(self):
         metrics = ServerMetrics()
         metrics.observe_batch(
-            num_queries=8,
-            num_requests=4,
-            seconds=0.002,
-            request_latencies=[0.001, 0.003, 0.02, 1.7],
-        )
-        metrics.observe_stages(
-            {"queue": [0.0001, 0.0002], "kernel": [0.002], "cache_probe": [0.00005]}
+            "pair",
+            8,
+            0.002,
+            [0.001, 0.003, 0.02, 1.7],
+            stages={
+                "queue": [0.0001, 0.0002],
+                "kernel": [0.002],
+                "cache_probe": [0.00005],
+            },
         )
         body = metrics.render_prometheus(
             cache_stats=CacheStats(hits=1, misses=3), snapshot_version=2
@@ -215,12 +215,7 @@ class TestHistogram:
 
     def test_exposition_bucket_series(self):
         metrics = ServerMetrics(histogram_buckets=(0.001, 0.01, 0.1))
-        metrics.observe_batch(
-            num_queries=3,
-            num_requests=3,
-            seconds=0.001,
-            request_latencies=[0.0005, 0.05, 2.0],
-        )
+        metrics.observe_batch("pair", 3, 0.001, [0.0005, 0.05, 2.0])
         body = metrics.render_prometheus()
         assert 'repro_pll_latency_seconds_bucket{le="0.001"} 1' in body
         assert 'repro_pll_latency_seconds_bucket{le="0.1"} 2' in body
@@ -230,8 +225,11 @@ class TestHistogram:
 
     def test_stage_histograms_present_and_fed(self):
         metrics = ServerMetrics()
-        metrics.observe_stages({stage: [0.001] for stage in STAGE_NAMES})
-        metrics.observe_stages({"unknown_stage": [1.0]})  # silently ignored
+        metrics.observe_batch(
+            "pair", 1, 0.001, [0.001], stages={stage: [0.001] for stage in STAGE_NAMES}
+        )
+        # Unknown stages are silently ignored.
+        metrics.observe_batch("pair", 1, 0.001, [0.001], stages={"unknown_stage": [1.0]})
         histograms = metrics.snapshot()["histograms"]
         for stage in STAGE_NAMES:
             assert histograms[f"stage_{stage}_seconds"]["count"] == 1
@@ -242,8 +240,7 @@ class TestHistogram:
     def test_histograms_disabled(self):
         metrics = ServerMetrics(histogram_buckets=None)
         assert not metrics.has_histograms
-        metrics.observe_batch(num_queries=1, num_requests=1, seconds=0.001)
-        metrics.observe_stages({"queue": [0.001]})
+        metrics.observe_batch("pair", 1, 0.001, [0.001], stages={"queue": [0.001]})
         assert "histograms" not in metrics.snapshot()
         assert "_bucket" not in metrics.render_prometheus()
 
@@ -252,12 +249,12 @@ class TestRenderFormatting:
     def test_num_queries_property(self):
         metrics = ServerMetrics()
         assert metrics.num_queries == 0
-        metrics.observe_batch(num_queries=7, num_requests=2, seconds=0.001)
+        metrics.observe_batch("pair", 7, 0.001, [0.001, 0.001])
         assert metrics.num_queries == 7
 
     def test_render_histograms_summarised(self):
         metrics = ServerMetrics()
-        metrics.observe_batch(num_queries=1, num_requests=1, seconds=0.001)
+        metrics.observe_batch("pair", 1, 0.001, [0.001])
         text = metrics.render()
         assert "  histograms" in text
         assert "latency_seconds" in text
@@ -266,33 +263,18 @@ class TestRenderFormatting:
 
 
 class TestIndexHealthStats:
-    def test_none_engine_reports_nothing(self):
-        assert index_health_stats(None) == {}
-
-    def test_duck_typed_engine(self):
-        class FakeLabels:
-            def total_entries(self):
-                return 42
-
-        class FakeBitParallel:
-            num_roots = 3
-
-        class FakeIndex:
-            label_set = FakeLabels()
-            bit_parallel_labels = FakeBitParallel()
-
-        class FakeEngine:
-            index = FakeIndex()
-
-        stats = index_health_stats(FakeEngine())
-        assert stats == {"index_label_entries": 42, "index_bit_parallel_roots": 3}
-
     def test_kernel_layout_surfaces_in_metrics(self, small_social_graph):
         from repro.core.index import PrunedLandmarkLabeling
         from repro.serving import BatchQueryEngine
 
-        engine = BatchQueryEngine(PrunedLandmarkLabeling().build(small_social_graph))
+        index = PrunedLandmarkLabeling(num_bit_parallel_roots=3).build(
+            small_social_graph
+        )
+        engine = BatchQueryEngine(index)
         stats = index_health_stats(engine)
+        assert stats["index_label_entries"] == index.label_set.total_entries()
+        assert stats["index_bit_parallel_roots"] == 3
+        assert stats["index_num_vertices"] == small_social_graph.num_vertices
         assert stats["kernel_name"] == "narrow"
         assert stats["kernel_narrow"] == 1
         assert "kernel_fallback" not in stats and "kernel_requested" not in stats
@@ -358,36 +340,19 @@ class TestProcessResourceGauges:
 class TestVerbAndKernelOpCounters:
     def test_observe_verb_accumulates_in_snapshot(self):
         metrics = ServerMetrics()
-        metrics.observe_verb("pair", 4)
-        metrics.observe_verb("one_to_many", 3)
-        metrics.observe_verb("pair", 1)
+        metrics.observe_batch("pair", 4, 0.001, [0.001])
+        metrics.observe_batch("one_to_many", 3, 0.001, [0.001])
+        metrics.observe_batch("pair", 1, 0.001, [0.001])
         assert metrics.snapshot()["verbs"] == {"pair": 5, "one_to_many": 3}
 
-    def test_observe_kernel_op_nested_snapshot(self):
-        metrics = ServerMetrics()
-        metrics.observe_kernel_op("narrow", "query_pairs", 8)
-        metrics.observe_kernel_op("narrow", "query_one_to_many", 2)
-        metrics.observe_kernel_op("wide", "query_pairs", 1)
-        assert metrics.snapshot()["kernel_ops"] == {
-            "narrow": {"query_pairs": 8, "query_one_to_many": 2},
-            "wide": {"query_pairs": 1},
-        }
-
     def test_counters_absent_until_first_observation(self):
-        stats = ServerMetrics().snapshot()
-        assert "verbs" not in stats
-        assert "kernel_ops" not in stats
+        assert "verbs" not in ServerMetrics().snapshot()
 
     def test_labelled_exposition_series(self):
         metrics = ServerMetrics()
-        metrics.observe_verb("one_to_many", 3)
-        metrics.observe_verb("pair", 7)
-        metrics.observe_kernel_op("narrow", "query_one_to_many", 3)
+        metrics.observe_batch("one_to_many", 3, 0.001, [0.001])
+        metrics.observe_batch("pair", 7, 0.001, [0.001])
         body = metrics.render_prometheus()
         validate_prometheus_exposition(body)
         assert 'repro_pll_verb_queries_total{verb="one_to_many"} 3' in body
         assert 'repro_pll_verb_queries_total{verb="pair"} 7' in body
-        assert (
-            'repro_pll_kernel_op_queries_total{kernel="narrow",op="query_one_to_many"} 3'
-            in body
-        )
