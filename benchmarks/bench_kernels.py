@@ -12,9 +12,10 @@ pins down the two guarantees the kernel makes:
 * **Exactness**: ``distance_batch`` and both fan-out shapes are
   byte-identical to the scalar loop.
 
-Every batch-size and fan-out figure is an ungated row (its ``bp:`` /
-``nobp:`` prefix names the index); ``best_qps``, ``scalar_qps`` and
-``speedup`` are the gated metrics.
+Every batch-size and fan-out figure is a row of its own (its ``bp:`` /
+``nobp:`` prefix names the index), gated like ``best_qps``, ``scalar_qps``
+and ``speedup``: ``*_qps`` rows are throughputs (higher is better), ``*_us``
+rows fan-out latencies (lower is better).
 
 Also runnable standalone: ``python benchmarks/bench_kernels.py`` (pass
 ``--smoke`` for the reduced-scale CI configuration, which keeps the
@@ -221,8 +222,10 @@ def collect_results(*, smoke: bool = False):
         Metric("num_edges", results["num_edges"]),
     ]
     for name, value in sorted(results["rows"].items()):
-        unit = "pairs/s" if name.endswith("_qps") else "us"
-        metrics.append(Metric(name, value, unit=unit))
+        throughput = name.endswith("_qps")
+        metrics.append(
+            Metric(name, value, unit="pairs/s" if throughput else "us", higher_is_better=throughput)
+        )
     return bench_result("kernels", metrics, smoke=smoke)
 
 

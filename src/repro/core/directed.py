@@ -9,21 +9,24 @@ The distance from ``s`` to ``t`` is the minimum of ``d(s, u) + d(u, t)`` over
 hubs ``u`` common to ``L_OUT(s)`` and ``L_IN(t)``.  Each root performs two
 pruned BFSs, one along out-edges (filling ``L_IN`` of reached vertices) and
 one along in-edges (filling ``L_OUT``), with the prune test of each direction
-using the opposite label side — mirroring Algorithm 1 exactly.
+using the opposite label side — mirroring Algorithm 1 exactly.  Both are the
+shared :func:`~repro.core.pruned.pruned_bfs`, with the root's opposite side
+attached to the shared :class:`~repro.core.query.RootedQueryEvaluator`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.labels import INF_DISTANCE, LabelAccumulator, LabelSet, intersect_query
+from repro.core.index import validate_vertex
+from repro.core.labels import LabelAccumulator, LabelSet, intersect_query
+from repro.core.pruned import pruned_bfs, resolve_order
+from repro.core.query import RootedQueryEvaluator
 from repro.errors import IndexBuildError, IndexStateError
 from repro.graph.csr import Graph
-from repro.graph.ordering import compute_order
-from repro.graph.traversal import frontier_neighbors
 
 __all__ = ["DirectedPrunedLandmarkLabeling"]
 
@@ -64,46 +67,25 @@ class DirectedPrunedLandmarkLabeling:
                 "DirectedPrunedLandmarkLabeling expects a directed graph; use "
                 "PrunedLandmarkLabeling for undirected graphs"
             )
+        order_array = resolve_order(graph, order, ordering=self.ordering, seed=self.seed)
         n = graph.num_vertices
-        if order is not None:
-            order_array = np.asarray(order, dtype=np.int64)
-            if order_array.shape[0] != n or np.any(
-                np.sort(order_array) != np.arange(n)
-            ):
-                raise IndexBuildError("order must be a permutation of all vertices")
-        else:
-            order_array = compute_order(graph, self.ordering, seed=self.seed)
 
         start_time = time.perf_counter()
         # labels_out[v]: hubs u with d(v, u); labels_in[v]: hubs u with d(u, v).
         labels_out = LabelAccumulator(n)
         labels_in = LabelAccumulator(n)
-        temp = np.full(n, int(INF_DISTANCE), dtype=np.int64)
-
+        evaluator = RootedQueryEvaluator(n)
         for k in range(n):
             root = int(order_array[k])
-            # Forward pruned BFS: computes d(root, u), extends L_IN(u).
-            # Prune test: min over w in L_OUT(root) ∩ L_IN(u) of
-            # d(root, w) + d(w, u) <= depth.
-            self._pruned_bfs_one_direction(
-                graph,
-                root,
-                k,
-                source_labels=labels_out,
-                target_labels=labels_in,
-                temp=temp,
-                reverse=False,
-            )
-            # Backward pruned BFS: computes d(u, root), extends L_OUT(u).
-            self._pruned_bfs_one_direction(
-                graph,
-                root,
-                k,
-                source_labels=labels_in,
-                target_labels=labels_out,
-                temp=temp,
-                reverse=True,
-            )
+            # Forward: d(root, u) along out-edges, pruned by L_OUT(root) and
+            # L_IN(u), extending L_IN(u).  Backward: the sides swap.
+            for attached, extended, indptr, adjacency in (
+                (labels_out, labels_in, graph.indptr, graph.adjacency),
+                (labels_in, labels_out, graph.rev_indptr, graph.rev_adjacency),
+            ):
+                evaluator.attach(attached, root)
+                pruned_bfs(indptr, adjacency, root, k, evaluator, extended)
+                evaluator.detach()
 
         self._labels_out = labels_out.freeze(order_array)
         self._labels_in = labels_in.freeze(order_array)
@@ -111,65 +93,6 @@ class DirectedPrunedLandmarkLabeling:
         self._order = order_array
         self._build_seconds = time.perf_counter() - start_time
         return self
-
-    @staticmethod
-    def _pruned_bfs_one_direction(
-        graph: Graph,
-        root: int,
-        rank: int,
-        *,
-        source_labels: LabelAccumulator,
-        target_labels: LabelAccumulator,
-        temp: np.ndarray,
-        reverse: bool,
-    ) -> None:
-        """One pruned BFS from ``root`` along out-edges (or in-edges if ``reverse``).
-
-        ``source_labels`` is the label side of the root used in the prune test
-        (``L_OUT(root)`` for a forward BFS); ``target_labels`` is the side that
-        reached vertices are appended to (``L_IN`` for a forward BFS).
-        """
-        n = graph.num_vertices
-        indptr = graph.rev_indptr if reverse else graph.indptr
-        adj = graph.rev_adjacency if reverse else graph.adjacency
-
-        touched: List[int] = []
-        for hub, dist in source_labels.entries(root):
-            temp[hub] = dist
-            touched.append(hub)
-
-        visited = np.full(n, -1, dtype=np.int32)
-        visited[root] = 0
-        frontier = np.array([root], dtype=np.int64)
-        depth = 0
-        while frontier.size:
-            survivors: List[int] = []
-            for u in frontier:
-                u = int(u)
-                hubs_u = target_labels.hub_ranks(u)
-                dists_u = target_labels.distances(u)
-                pruned = False
-                for i in range(len(hubs_u)):
-                    if dists_u[i] + temp[hubs_u[i]] <= depth:
-                        pruned = True
-                        break
-                if pruned:
-                    continue
-                target_labels.append(u, rank, depth)
-                survivors.append(u)
-            if not survivors:
-                break
-            survivor_array = np.asarray(survivors, dtype=np.int64)
-            neighbors = frontier_neighbors(indptr, adj, survivor_array)
-            fresh = neighbors[visited[neighbors] < 0]
-            if fresh.size == 0:
-                break
-            frontier = np.unique(fresh).astype(np.int64)
-            visited[frontier] = depth + 1
-            depth += 1
-
-        for hub in touched:
-            temp[hub] = int(INF_DISTANCE)
 
     # ------------------------------------------------------------------ #
     # Queries and introspection
@@ -185,8 +108,13 @@ class DirectedPrunedLandmarkLabeling:
             raise IndexStateError("the index has not been built yet; call build()")
 
     def distance(self, s: int, t: int) -> float:
-        """Exact directed distance from ``s`` to ``t`` (``inf`` if unreachable)."""
+        """Exact directed distance from ``s`` to ``t`` (``inf`` if unreachable).
+
+        Raises :class:`~repro.errors.VertexError` for an id out of ``[0, n)``.
+        """
         self._require_built()
+        validate_vertex(s, self._labels_in.num_vertices)
+        validate_vertex(t, self._labels_in.num_vertices)
         if s == t:
             return 0.0
         return intersect_query(

@@ -21,13 +21,24 @@ import numpy as np
 
 from repro.core.bitparallel import BitParallelLabels, build_bit_parallel_labels
 from repro.core.labels import LabelSet, merge_labels
-from repro.core.pruned import ConstructionStats, build_pruned_labels
+from repro.core.pruned import ConstructionStats, build_pruned_labels, resolve_order
 from repro.core.query import BatchQueryKernel
 from repro.errors import IndexStateError, VertexError
 from repro.graph.csr import Graph
-from repro.graph.ordering import compute_order
 
-__all__ = ["PrunedLandmarkLabeling", "build_index", "validate_vertex_ids"]
+__all__ = ["PrunedLandmarkLabeling", "build_index", "validate_vertex", "validate_vertex_ids"]
+
+
+def validate_vertex(vertex: int, num_vertices: int) -> None:
+    """Raise :class:`~repro.errors.VertexError` if ``vertex`` is out of ``[0, n)``.
+
+    The scalar check every oracle's ``distance`` runs before its ``s == t``
+    shortcut.  Negative ids in particular must not fall through to numpy's
+    end-relative indexing, which would silently answer for vertex
+    ``n + id``; ids beyond ``n`` would surface as a raw ``IndexError``.
+    """
+    if not (0 <= vertex < num_vertices):
+        raise VertexError(vertex, num_vertices)
 
 
 def validate_vertex_ids(endpoints: np.ndarray, num_vertices: int) -> None:
@@ -105,11 +116,7 @@ class PrunedLandmarkLabeling:
             Optional explicit vertex order overriding the ``ordering``
             strategy; must be a permutation of all vertices.
         """
-        if order is not None:
-            order_array = np.asarray(order, dtype=np.int64)
-        else:
-            order_array = compute_order(graph, self.ordering, seed=self.seed)
-
+        order_array = resolve_order(graph, order, ordering=self.ordering, seed=self.seed)
         bit_parallel = build_bit_parallel_labels(
             graph, order_array, self.num_bit_parallel_roots
         )
@@ -146,17 +153,11 @@ class PrunedLandmarkLabeling:
         Raises
         ------
         VertexError
-            If either id is out of ``[0, n)``.  Negative ids in particular
-            must not fall through to numpy's end-relative indexing, which
-            would silently answer for vertex ``n + id``; ids beyond ``n``
-            would surface as a raw ``IndexError`` mid-query.
+            If either id is out of ``[0, n)`` (see :func:`validate_vertex`).
         """
         self._require_built()
-        num_vertices = self._labels.num_vertices
-        if not (0 <= s < num_vertices):
-            raise VertexError(s, num_vertices)
-        if not (0 <= t < num_vertices):
-            raise VertexError(t, num_vertices)
+        validate_vertex(s, self._labels.num_vertices)
+        validate_vertex(t, self._labels.num_vertices)
         if s == t:
             return 0.0
         best = self._labels.query(s, t)
@@ -273,8 +274,7 @@ class PrunedLandmarkLabeling:
         """
         self._require_built()
         num_vertices = self._labels.num_vertices
-        if not (0 <= source < num_vertices):
-            raise VertexError(source, num_vertices)
+        validate_vertex(source, num_vertices)
         if targets is not None:
             targets = np.asarray(list(targets), dtype=np.int64)
             validate_vertex_ids(targets, num_vertices)

@@ -8,6 +8,19 @@ certifies ``dist(root, u) <= d``; if so, ``u`` is pruned — it receives no new
 label entry and none of its edges are traversed.  Theorem 4.1 of the paper
 shows the surviving entries still form an exact 2-hop cover.
 
+That per-root BFS (Algorithm 1) is written once, as :func:`pruned_bfs`, and
+every unweighted builder runs it:
+
+* :func:`build_pruned_labels` — once per root over an undirected graph; this
+  is what :class:`~repro.core.index.PrunedLandmarkLabeling` and the path
+  index :class:`~repro.core.paths.PathPrunedLandmarkLabeling` build with;
+* :class:`~repro.core.directed.DirectedPrunedLandmarkLabeling` — twice per
+  root, along out-edges (extending ``L_IN``) and along in-edges (extending
+  ``L_OUT``).
+
+:func:`resolve_order` is the one place a vertex order is computed or checked.
+The weighted index keeps its own pruned Dijkstra, a different traversal.
+
 Implementation notes (paper Section 4.5, adapted to Python/numpy):
 
 * The BFS is level synchronous.  The prune test only consults the index state
@@ -28,7 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +50,16 @@ from repro.core.labels import LabelAccumulator, LabelSet
 from repro.core.query import RootedQueryEvaluator
 from repro.errors import IndexBuildError
 from repro.graph.csr import Graph
-from repro.graph.traversal import frontier_neighbors
+from repro.graph.ordering import compute_order
+from repro.graph.traversal import bfs_distances, frontier_neighbors
 
-__all__ = ["ConstructionStats", "build_pruned_labels", "build_naive_labels"]
+__all__ = [
+    "ConstructionStats",
+    "build_pruned_labels",
+    "build_naive_labels",
+    "pruned_bfs",
+    "resolve_order",
+]
 
 
 @dataclass
@@ -66,6 +86,95 @@ class ConstructionStats:
         if total == 0:
             return np.zeros_like(self.labeled_per_bfs, dtype=np.float64)
         return np.cumsum(self.labeled_per_bfs) / float(total)
+
+
+def resolve_order(
+    graph: Graph,
+    order: Optional[Sequence[int]] = None,
+    *,
+    ordering: str = "degree",
+    seed: Optional[int] = 0,
+) -> np.ndarray:
+    """The vertex processing order: ``order`` if given, else ``ordering``'s.
+
+    An explicit ``order`` must be a permutation of all vertices; anything
+    else raises :class:`~repro.errors.IndexBuildError` here, before any
+    labeling phase reads it.
+    """
+    if order is None:
+        return compute_order(graph, ordering, seed=seed)
+    order_array = np.asarray(order, dtype=np.int64)
+    n = graph.num_vertices
+    if order_array.shape != (n,) or np.any(np.sort(order_array) != np.arange(n)):
+        raise IndexBuildError("order must be a permutation of all vertices")
+    return order_array
+
+
+def pruned_bfs(
+    indptr: np.ndarray,
+    adjacency: np.ndarray,
+    root: int,
+    rank: int,
+    evaluator: RootedQueryEvaluator,
+    labels: LabelAccumulator,
+    bit_parallel: Optional[BitParallelLabels] = None,
+) -> Tuple[int, int]:
+    """One pruned BFS from ``root`` (Algorithm 1); returns ``(visited, labeled)``.
+
+    ``evaluator`` must be attached to the label side the root's distances are
+    read from; ``labels`` is the side every surviving vertex ``u`` gains the
+    entry ``(rank, d(root, u))`` in, and the side the prune test reads ``u``'s
+    label from.  Undirected builds pass one accumulator for both; the
+    directed build attaches ``L_OUT(root)`` and extends ``L_IN`` along
+    out-edges, then the reverse.  A non-empty ``bit_parallel`` prunes too.
+    """
+    dist = np.full(indptr.shape[0] - 1, -1, dtype=np.int32)
+    dist[root] = 0
+    frontier = np.array([root], dtype=np.int64)
+    depth = 0
+    visited = 0
+    labeled = 0
+    while frontier.size:
+        visited += int(frontier.size)
+        if bit_parallel is not None:
+            bp_bounds = query_upper_bounds_for_root(bit_parallel, root, frontier).tolist()
+        else:
+            bp_bounds = None
+
+        survivors: List[int] = []
+        for idx, u in enumerate(frontier.tolist()):
+            if bp_bounds is not None and bp_bounds[idx] <= depth:
+                continue
+            if evaluator.query_upper_bound_with_cutoff(labels, u, depth):
+                continue
+            labels.append(u, rank, depth)
+            survivors.append(u)
+        labeled += len(survivors)
+
+        if not survivors:
+            break
+        neighbors = frontier_neighbors(indptr, adjacency, np.asarray(survivors, dtype=np.int64))
+        fresh = neighbors[dist[neighbors] < 0]
+        if fresh.size == 0:
+            break
+        frontier = np.unique(fresh).astype(np.int64)
+        dist[frontier] = depth + 1
+        depth += 1
+    return visited, labeled
+
+
+def _stats(
+    collect: bool, labeled: np.ndarray, visited: np.ndarray, elapsed: float
+) -> ConstructionStats:
+    """Construction statistics; empty counter arrays unless ``collect``."""
+    if not collect:
+        labeled = visited = np.zeros(0, np.int64)
+    return ConstructionStats(
+        labeled_per_bfs=labeled,
+        visited_per_bfs=visited,
+        pruned_per_bfs=visited - labeled,
+        elapsed_seconds=elapsed,
+    )
 
 
 def build_pruned_labels(
@@ -96,83 +205,29 @@ def build_pruned_labels(
         The frozen normal labels and the construction statistics (empty arrays
         unless ``collect_stats``).
     """
-    n = graph.num_vertices
-    order = np.asarray(order, dtype=np.int64)
-    if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
-        raise IndexBuildError("order must be a permutation of all vertices")
+    order = resolve_order(graph, order)
     if graph.directed:
         raise IndexBuildError(
             "build_pruned_labels handles undirected graphs; use the directed "
             "index for directed graphs"
         )
-
-    bp = bit_parallel if bit_parallel is not None else BitParallelLabels.make_empty(n)
-    use_bp = not bp.empty()
+    n = graph.num_vertices
+    if bit_parallel is not None and bit_parallel.empty():
+        bit_parallel = None
 
     labels = LabelAccumulator(n)
     evaluator = RootedQueryEvaluator(n)
-    indptr, adj = graph.indptr, graph.adjacency
-
-    labeled_counter = np.zeros(n, dtype=np.int64)
-    visited_counter = np.zeros(n, dtype=np.int64)
-    pruned_counter = np.zeros(n, dtype=np.int64)
-
+    labeled = np.zeros(n, dtype=np.int64)
+    visited = np.zeros(n, dtype=np.int64)
     start_time = time.perf_counter()
-
     for k in range(n):
         root = int(order[k])
         evaluator.attach(labels, root)
-
-        dist = np.full(n, -1, dtype=np.int32)
-        dist[root] = 0
-        frontier = np.array([root], dtype=np.int64)
-        depth = 0
-        labeled_this_bfs = 0
-        visited_this_bfs = 0
-
-        while frontier.size:
-            visited_this_bfs += int(frontier.size)
-
-            if use_bp:
-                bp_bounds = query_upper_bounds_for_root(bp, root, frontier).tolist()
-            else:
-                bp_bounds = None
-            frontier_list = frontier.tolist()
-
-            survivors: List[int] = []
-            for idx, u in enumerate(frontier_list):
-                if bp_bounds is not None and bp_bounds[idx] <= depth:
-                    continue
-                if evaluator.query_upper_bound_with_cutoff(labels, u, depth):
-                    continue
-                labels.append(u, k, depth)
-                survivors.append(u)
-            labeled_this_bfs += len(survivors)
-
-            if not survivors:
-                break
-            survivor_array = np.asarray(survivors, dtype=np.int64)
-            neighbors = frontier_neighbors(indptr, adj, survivor_array)
-            fresh = neighbors[dist[neighbors] < 0]
-            if fresh.size == 0:
-                break
-            frontier = np.unique(fresh).astype(np.int64)
-            dist[frontier] = depth + 1
-            depth += 1
-
+        visited[k], labeled[k] = pruned_bfs(
+            graph.indptr, graph.adjacency, root, k, evaluator, labels, bit_parallel
+        )
         evaluator.detach()
-        if collect_stats:
-            labeled_counter[k] = labeled_this_bfs
-            visited_counter[k] = visited_this_bfs
-            pruned_counter[k] = visited_this_bfs - labeled_this_bfs
-
-    elapsed = time.perf_counter() - start_time
-    stats = ConstructionStats(
-        labeled_per_bfs=labeled_counter if collect_stats else np.zeros(0, np.int64),
-        visited_per_bfs=visited_counter if collect_stats else np.zeros(0, np.int64),
-        pruned_per_bfs=pruned_counter if collect_stats else np.zeros(0, np.int64),
-        elapsed_seconds=elapsed,
-    )
+    stats = _stats(collect_stats, labeled, visited, time.perf_counter() - start_time)
     return labels.freeze(order), stats
 
 
@@ -188,44 +243,18 @@ def build_naive_labels(
     it produces has ``Θ(n)`` entries per vertex and quadratic total size, so it
     is only usable on small graphs.
     """
-    n = graph.num_vertices
-    order = np.asarray(order, dtype=np.int64)
-    if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
-        raise IndexBuildError("order must be a permutation of all vertices")
+    order = resolve_order(graph, order)
     if graph.directed:
         raise IndexBuildError("build_naive_labels handles undirected graphs only")
-
+    n = graph.num_vertices
     labels = LabelAccumulator(n)
-    indptr, adj = graph.indptr, graph.adjacency
-    labeled_counter = np.zeros(n, dtype=np.int64)
+    labeled = np.zeros(n, dtype=np.int64)
     start_time = time.perf_counter()
-
     for k in range(n):
-        root = int(order[k])
-        dist = np.full(n, -1, dtype=np.int32)
-        dist[root] = 0
-        frontier = np.array([root], dtype=np.int64)
-        depth = 0
-        labeled_this_bfs = 0
-        while frontier.size:
-            for u in frontier:
-                labels.append(int(u), k, depth)
-            labeled_this_bfs += int(frontier.size)
-            neighbors = frontier_neighbors(indptr, adj, frontier)
-            fresh = neighbors[dist[neighbors] < 0]
-            if fresh.size == 0:
-                break
-            frontier = np.unique(fresh).astype(np.int64)
-            dist[frontier] = depth + 1
-            depth += 1
-        if collect_stats:
-            labeled_counter[k] = labeled_this_bfs
-
-    elapsed = time.perf_counter() - start_time
-    stats = ConstructionStats(
-        labeled_per_bfs=labeled_counter if collect_stats else np.zeros(0, np.int64),
-        visited_per_bfs=labeled_counter.copy() if collect_stats else np.zeros(0, np.int64),
-        pruned_per_bfs=np.zeros(n if collect_stats else 0, dtype=np.int64),
-        elapsed_seconds=elapsed,
-    )
+        dist = bfs_distances(graph, int(order[k]))
+        reached = np.flatnonzero(dist >= 0)
+        for u, d in zip(reached.tolist(), dist[reached].tolist()):
+            labels.append(u, k, d)
+        labeled[k] = reached.shape[0]
+    stats = _stats(collect_stats, labeled, labeled.copy(), time.perf_counter() - start_time)
     return labels.freeze(order), stats

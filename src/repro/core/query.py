@@ -10,11 +10,15 @@ The query kernels, mirroring Section 4.5 of the paper:
   :mod:`repro.core.labels`): one ``searchsorted`` of one label's hubs into
   the other's, asymptotically a log factor worse but far faster in practice
   under the Python interpreter.
-* :class:`RootedQueryEvaluator` — the "targeted" evaluator used for the prune
-  test during indexing.  It materialises the current root's label into a
-  temporary distance array ``T`` indexed by hub rank, so each prune test costs
-  ``O(|L(u)|)`` instead of ``O(|L(root)| + |L(u)|)`` — the optimisation the
-  paper credits with a ~2x preprocessing speed-up.
+* :class:`RootedQueryEvaluator` — the "targeted" evaluator behind the prune
+  test of every unweighted builder: the undirected, path and directed
+  indexes all run :func:`~repro.core.pruned.pruned_bfs` with one attached.
+  It materialises the current root's label into a temporary distance array
+  ``T`` indexed by hub rank, so each prune test costs ``O(|L(u)|)`` instead
+  of ``O(|L(root)| + |L(u)|)`` — the optimisation the paper credits with a
+  ~2x preprocessing speed-up.  The root's label may come from another
+  accumulator than the one tested: the directed build attaches
+  ``L_OUT(root)`` and tests ``L_IN(u)``.
 * :class:`BatchQueryKernel` — the serving-path kernel, defined in
   :mod:`repro.core.kernels` and re-exported here: it answers *many*
   independent ``(s, t)`` pairs per call with flat numpy operations instead of

@@ -21,10 +21,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.index import validate_vertex
 from repro.core.labels import intersect_query
+from repro.core.pruned import resolve_order
 from repro.errors import IndexBuildError, IndexStateError
 from repro.graph.csr import Graph
-from repro.graph.ordering import compute_order
 
 __all__ = ["WeightedLabelSet", "WeightedPrunedLandmarkLabeling"]
 
@@ -120,15 +121,8 @@ class WeightedPrunedLandmarkLabeling:
                 "WeightedPrunedLandmarkLabeling expects an undirected graph; "
                 "use DirectedPrunedLandmarkLabeling for directed graphs"
             )
+        order_array = resolve_order(graph, order, ordering=self.ordering, seed=self.seed)
         n = graph.num_vertices
-        if order is not None:
-            order_array = np.asarray(order, dtype=np.int64)
-            if order_array.shape[0] != n or np.any(
-                np.sort(order_array) != np.arange(n)
-            ):
-                raise IndexBuildError("order must be a permutation of all vertices")
-        else:
-            order_array = compute_order(graph, self.ordering, seed=self.seed)
 
         start_time = time.perf_counter()
         label_hubs: List[List[int]] = [[] for _ in range(n)]
@@ -214,8 +208,13 @@ class WeightedPrunedLandmarkLabeling:
             raise IndexStateError("the index has not been built yet; call build()")
 
     def distance(self, s: int, t: int) -> float:
-        """Exact weighted shortest-path distance (``inf`` if disconnected)."""
+        """Exact weighted shortest-path distance (``inf`` if disconnected).
+
+        Raises :class:`~repro.errors.VertexError` for an id out of ``[0, n)``.
+        """
         self._require_built()
+        validate_vertex(s, self._labels.num_vertices)
+        validate_vertex(t, self._labels.num_vertices)
         if s == t:
             return 0.0
         return self._labels.query(s, t)

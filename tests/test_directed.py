@@ -8,9 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.directed import DirectedPrunedLandmarkLabeling
-from repro.errors import IndexBuildError, IndexStateError
-from repro.generators import barabasi_albert_graph, orient_edges
+from repro.core.pruned import build_pruned_labels
+from repro.errors import IndexBuildError, IndexStateError, VertexError
+from repro.generators import barabasi_albert_graph, holme_kim_graph, orient_edges
 from repro.graph.csr import Graph
+from repro.graph.ordering import compute_order
 from repro.graph.traversal import UNREACHABLE, bfs_distances
 from tests.conftest import sample_pairs
 
@@ -92,6 +94,30 @@ class TestDirectedIndex:
         graph = Graph(3, [(0, 1)], directed=True)
         with pytest.raises(IndexBuildError):
             DirectedPrunedLandmarkLabeling().build(graph, order=[0, 1, 1])
+
+    @pytest.mark.parametrize("s, t", [(-1, 0), (0, -1), (0, 5), (5, 0), (-1, -1)])
+    def test_out_of_range_vertex_raises(self, s, t):
+        graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], directed=True)
+        oracle = DirectedPrunedLandmarkLabeling().build(graph)
+        with pytest.raises(VertexError):
+            oracle.distance(s, t)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_both_directions_give_the_undirected_labels(self, seed):
+        """With every edge in both directions, each pruned BFS of the pair is
+        the undirected one, so ``L_IN`` and ``L_OUT`` both equal its labels."""
+        undirected = holme_kim_graph(250, 3, 0.5, seed=seed)
+        edges = list(undirected.edges())
+        digraph = Graph(
+            undirected.num_vertices, edges + [(b, a) for a, b in edges], directed=True
+        )
+        order = compute_order(undirected, "degree")
+        expected, _ = build_pruned_labels(undirected, order)
+        oracle = DirectedPrunedLandmarkLabeling().build(digraph, order=order)
+        for labels in (oracle.in_labels, oracle.out_labels):
+            assert np.array_equal(labels.indptr, expected.indptr)
+            assert np.array_equal(labels.hub_ranks, expected.hub_ranks)
+            assert np.array_equal(labels.distances, expected.distances)
 
 
 class TestDirectedProperties:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.index import PrunedLandmarkLabeling, build_index
-from repro.errors import IndexStateError
+from repro.errors import IndexBuildError, IndexStateError
 from repro.graph.csr import Graph
 from tests.conftest import exact_distances, sample_pairs
 
@@ -229,3 +229,18 @@ class TestVertexValidation:
         for source, candidates in [(-2, [0, 1, 2]), (0, [1, -3]), (n, [1])]:
             with pytest.raises(VertexError):
                 index.top_k_closest(source, candidates, 2)
+
+
+class TestExplicitOrderCheck:
+    """A malformed explicit order is rejected before any labeling phase."""
+
+    @pytest.mark.parametrize("num_bit_parallel_roots", [0, 2])
+    @pytest.mark.parametrize(
+        "order", [[0, 1, 2, 3], [0, 1, 2, 3, 9], [0, 1, 2, 3, -1], [0, 1, 1, 2, 3], [[0, 1, 2, 3, 4]]]
+    )
+    def test_malformed_order_raises_index_build_error(
+        self, path_graph, num_bit_parallel_roots, order
+    ):
+        index = PrunedLandmarkLabeling(num_bit_parallel_roots=num_bit_parallel_roots)
+        with pytest.raises(IndexBuildError):
+            index.build(path_graph, order=order)

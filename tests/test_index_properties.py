@@ -148,6 +148,30 @@ class TestLabelInvariants:
             assert labels.query(s, t) >= truth
             assert bp.query(s, t) >= truth
 
+    @settings(**COMMON_SETTINGS)
+    @given(
+        graph=random_graphs(),
+        num_bp=st.sampled_from([0, 16]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_every_entry_has_a_neighbour_one_step_closer(self, graph, num_bp, seed):
+        """Each entry ``(u, r, d > 0)`` has a neighbour with entry ``(r, d - 1)``:
+        the parent a path climb steps to, whatever the order and BP roots."""
+        order = np.random.default_rng(seed).permutation(graph.num_vertices)
+        bp = build_bit_parallel_labels(graph, order, num_bp)
+        labels, _ = build_pruned_labels(graph, order, bit_parallel=bp)
+        entries = [
+            dict(zip(*(a.tolist() for a in labels.vertex_label(v))))
+            for v in range(labels.num_vertices)
+        ]
+        for u, label in enumerate(entries):
+            for hub_rank, distance in label.items():
+                if distance > 0:
+                    assert any(
+                        entries[int(w)].get(hub_rank) == distance - 1
+                        for w in graph.neighbors(u)
+                    )
+
 
 class TestBitParallelProperties:
     @settings(**COMMON_SETTINGS)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.paths import PathPrunedLandmarkLabeling
-from repro.errors import IndexBuildError, IndexStateError
+from repro.core.pruned import build_pruned_labels
+from repro.errors import IndexBuildError, IndexStateError, VertexError
+from repro.generators import grid_graph, holme_kim_graph
 from repro.graph.csr import Graph
+from repro.graph.ordering import compute_order
 from repro.graph.traversal import bfs_distance
 from tests.conftest import random_test_graphs, sample_pairs
 
@@ -82,3 +85,47 @@ class TestPathReconstruction:
     def test_bad_order_rejected(self, path_graph):
         with pytest.raises(IndexBuildError):
             PathPrunedLandmarkLabeling().build(path_graph, order=[0, 1, 2, 3, 3])
+
+    def test_labels_are_the_plain_pruned_labels(self):
+        for graph in random_test_graphs(3, seed=12) + [holme_kim_graph(300, 3, 0.5, seed=4)]:
+            oracle = PathPrunedLandmarkLabeling().build(graph)
+            labels, _ = build_pruned_labels(graph, compute_order(graph, "degree"))
+            built = oracle.label_set
+            assert np.array_equal(built.indptr, labels.indptr)
+            assert np.array_equal(built.hub_ranks, labels.hub_ranks)
+            assert np.array_equal(built.distances, labels.distances)
+            assert np.array_equal(built.order, labels.order)
+            assert oracle.bit_parallel_labels.empty()
+
+    def test_grid_paths_pin_the_tie_breaks(self):
+        """On a grid shortest paths tie everywhere; these are the paths stored
+        parent pointers (the first-discovering, smallest-id parent) give."""
+        oracle = PathPrunedLandmarkLabeling().build(grid_graph(5, 5))
+        expected = [
+            ((0, 24), [0, 1, 6, 7, 8, 9, 14, 19, 24]),
+            ((24, 0), [24, 19, 14, 9, 8, 7, 6, 1, 0]),
+            ((4, 20), [4, 3, 2, 1, 6, 5, 10, 15, 20]),
+            ((20, 4), [20, 15, 10, 5, 6, 1, 2, 3, 4]),
+            ((1, 23), [1, 6, 7, 8, 13, 18, 23]),
+            ((6, 18), [6, 7, 8, 13, 18]),
+            ((10, 14), [10, 11, 12, 13, 14]),
+            ((2, 22), [2, 7, 12, 17, 22]),
+            ((3, 15), [3, 2, 1, 6, 5, 10, 15]),
+        ]
+        for (s, t), path in expected:
+            assert oracle.shortest_path(s, t) == path
+
+
+class TestOutOfRangeVertices:
+    @pytest.mark.parametrize("s, t", [(-1, 0), (0, -1), (0, 5), (5, 0), (-1, -1)])
+    def test_distance_and_path_raise(self, path_graph, s, t):
+        oracle = PathPrunedLandmarkLabeling().build(path_graph)
+        with pytest.raises(VertexError):
+            oracle.distance(s, t)
+        with pytest.raises(VertexError):
+            oracle.shortest_path(s, t)
+
+    def test_distance_is_float(self, path_graph):
+        oracle = PathPrunedLandmarkLabeling().build(path_graph)
+        assert type(oracle.distance(0, 4)) is float
+        assert oracle.distance(0, 4) == 4.0

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.weighted import WeightedPrunedLandmarkLabeling
-from repro.errors import IndexBuildError, IndexStateError
+from repro.errors import IndexBuildError, IndexStateError, VertexError
 from repro.generators import assign_random_weights, barabasi_albert_graph, grid_graph
 from repro.graph.csr import Graph
 from repro.graph.traversal import dijkstra_distances
@@ -93,6 +93,12 @@ class TestWeightedIndex:
         oracle = WeightedPrunedLandmarkLabeling().build(graph)
         # Far below the n entries per vertex a naive scheme would store.
         assert oracle.average_label_size() < graph.num_vertices / 2
+
+    @pytest.mark.parametrize("s, t", [(-1, 0), (0, -1), (0, 5), (5, 0), (-1, -1)])
+    def test_out_of_range_vertex_raises(self, path_graph, s, t):
+        oracle = WeightedPrunedLandmarkLabeling().build(path_graph)
+        with pytest.raises(VertexError):
+            oracle.distance(s, t)
 
 
 class TestWeightedProperties:
